@@ -422,23 +422,3 @@ func BenchmarkClusteredAblation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkParallelPipeline measures the whole metascheduler-level dynamics
-// study with the speculative parallel search at several worker counts;
-// sub-benchmark p1 is the sequential baseline. The schedule is identical for
-// every parallelism, so the only difference between sub-benches is wall
-// clock. See internal/alloc's BenchmarkParallelSearch for the search-only
-// measurement on a low-conflict large batch.
-func BenchmarkParallelPipeline(b *testing.B) {
-	for _, parallelism := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", parallelism), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiments.DynamicsStudy(experiments.DynamicsConfig{
-					Seed: uint64(i) + 1, Sessions: 3, Parallelism: parallelism,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -15,16 +15,13 @@ import (
 // runGridsim drives a multi-iteration metascheduler session on a randomly
 // loaded grid: jobs arrive over time, local owner tasks occupy nodes, and
 // the scheduler places what it can each iteration, postponing the rest.
-// parallelism sets the search worker count, linearScan swaps the bucketed
-// slot index for the linear oracle scan, and rebuildVacant swaps the live
-// vacant-slot store for a full per-publication rebuild; the resulting
-// schedule is identical for every combination. shards federates the grid
-// into that many sharded domains with cross-shard combination — again with a
-// byte-identical schedule. service swaps the batch iteration loop for the
+// shards federates the grid into that many sharded domains with cross-shard
+// combination, and parallelism bounds the per-shard scan producers; the
+// schedule is byte-identical for every combination. service swaps the batch iteration loop for the
 // continuous-service event loop (submits and ticks enqueue evaluations; the
 // reports are identical). reg, when non-nil, collects the session's metrics
 // for the caller's -metrics dump.
-func runGridsim(seed uint64, parallelism, shards int, linearScan, rebuildVacant, service bool, reg *metrics.Registry) error {
+func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics.Registry) error {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
 	var nodes []*resource.Node
@@ -60,17 +57,15 @@ func runGridsim(seed uint64, parallelism, shards int, linearScan, rebuildVacant,
 		MaxPostponements: 5,
 		Parallelism:      parallelism,
 		Shards:           shards,
-		RebuildVacant:    rebuildVacant,
 		Metrics:          reg,
 	}
-	cfg.Search.UseLinearScan = linearScan
 	sched, err := metasched.New(cfg, grid)
 	if err != nil {
 		return err
 	}
 	var svc *metasched.Service
 	if service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{Workers: parallelism})
+		svc, err = metasched.NewService(sched, metasched.ServiceConfig{})
 		if err != nil {
 			return err
 		}

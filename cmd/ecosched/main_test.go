@@ -41,6 +41,7 @@ func TestSubcommandsRun(t *testing.T) {
 		{"pareto"},
 		{"gridsim"},
 		{"gridsim", "-shards", "3"},
+		{"gridsim", "-shards", "3", "-parallelism", "4"},
 		{"chaos"},
 		{"chaos", "-faults", "fail@300:cpu3;recover@600:cpu3;revoke@450:cpu5:500-700"},
 		{"chaos", "-shards", "2"},
@@ -237,6 +238,9 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := run([]string{"chaos", "-faults", "melt@300:cpu1"}); err == nil {
 		t.Error("malformed fault plan accepted")
+	}
+	if err := run([]string{"gridsim", "-parallelism", "4"}); err == nil {
+		t.Error("-parallelism without -shards accepted")
 	}
 }
 

@@ -74,8 +74,9 @@ type Algorithm interface {
 //   - FindWindowLinear is the paper's front-to-back scan of the raw list,
 //     kept verbatim as the reference oracle;
 //   - FindWindowIndexed is the production path, reached through
-//     FindAlternatives unless SearchOptions.UseLinearScan asks for the
-//     oracle.
+//     FindAlternatives. Tests reach the oracle by wrapping the algorithm
+//     in a type that exposes only Name and FindWindow, which sends the
+//     drivers down their linear path.
 type IndexedAlgorithm interface {
 	Algorithm
 	// FindWindowLinear searches the raw list front to back — the oracle.

@@ -109,8 +109,9 @@ func FuzzFindWindow(f *testing.F) {
 
 		// Multi-pass search over a small batch built from variations of the
 		// fuzzed request: alternatives must stay pairwise disjoint, vacant
-		// time must shrink by exactly the occupied time, and the parallel
-		// pipeline must agree bit for bit with the sequential one.
+		// time must shrink by exactly the occupied time, and the indexed
+		// search must agree bit for bit with the linear oracle driven
+		// through the same FindAlternatives call.
 		jobs := make([]*job.Job, 0, 3)
 		for i := 0; i < 3; i++ {
 			cp := *j
@@ -150,12 +151,12 @@ func FuzzFindWindow(f *testing.F) {
 				t.Fatalf("%s vacant time %v after occupying %v of %v, want %v",
 					algo.Name(), got, occupied, list.TotalTime(), want)
 			}
-			par, err := FindAlternativesParallel(algo, list, batch, SearchOptions{MaxPasses: 4}, 4)
+			oracle, err := FindAlternatives(linearOracle{algo}, list, batch, SearchOptions{MaxPasses: 4})
 			if err != nil {
-				t.Fatalf("%s parallel: %v", algo.Name(), err)
+				t.Fatalf("%s linear oracle: %v", algo.Name(), err)
 			}
-			if got, want := renderResult(t, batch, par), renderResult(t, batch, res); got != want {
-				t.Fatalf("%s parallel result diverged\n--- sequential ---\n%s\n--- parallel ---\n%s", algo.Name(), want, got)
+			if got, want := renderResult(t, batch, res), renderResult(t, batch, oracle); got != want {
+				t.Fatalf("%s indexed result diverged from the linear oracle\n--- linear ---\n%s\n--- indexed ---\n%s", algo.Name(), want, got)
 			}
 		}
 	})

@@ -65,10 +65,13 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 }
 
 // TestIndexedSearchMatchesLinearOracle is the driver-level differential: the
-// default indexed FindAlternatives (sequential, parallel, and fair) must be
-// byte-identical to the UseLinearScan oracle on full SearchResults —
-// windows, discovery order, pass count, stats, and the remaining list.
+// default indexed FindAlternatives (and the fair variant) must be
+// byte-identical to the linear oracle on full SearchResults — windows,
+// discovery order, pass count, stats, and the remaining list.
 func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
+	if _, ok := Algorithm(linearOracle{AMP{}}).(IndexedAlgorithm); ok {
+		t.Fatal("linearOracle exposes the indexed scan: the differential would compare the index with itself")
+	}
 	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
 		{},
@@ -80,9 +83,7 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 		list, batch := diffScenario(t, seed)
 		for _, algo := range algos {
 			for oi, opts := range options {
-				linear := opts
-				linear.UseLinearScan = true
-				oracle, err := FindAlternatives(algo, list, batch, linear)
+				oracle, err := FindAlternatives(linearOracle{algo}, list, batch, opts)
 				if err != nil {
 					t.Fatalf("seed %d %s opts %d: linear: %v", seed, algo.Name(), oi, err)
 				}
@@ -98,20 +99,7 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 				if oi != 0 {
 					continue
 				}
-				for _, variant := range []struct {
-					name string
-					opts SearchOptions
-				}{{"indexed", opts}, {"linear", linear}} {
-					par, err := FindAlternativesParallel(algo, list, batch, variant.opts, 4)
-					if err != nil {
-						t.Fatalf("seed %d %s: parallel %s: %v", seed, algo.Name(), variant.name, err)
-					}
-					if got := renderResult(t, batch, par); got != want {
-						t.Fatalf("seed %d %s: parallel %s diverged from linear oracle\n--- oracle ---\n%s\n--- got ---\n%s",
-							seed, algo.Name(), variant.name, want, got)
-					}
-				}
-				fairOracle, err := FindAlternativesFair(algo, list, batch, linear)
+				fairOracle, err := FindAlternativesFair(linearOracle{algo}, list, batch, opts)
 				if err != nil {
 					t.Fatalf("seed %d %s: fair linear: %v", seed, algo.Name(), err)
 				}
@@ -135,10 +123,8 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 func TestIndexedSearchDisjointBands(t *testing.T) {
 	list, batch := disjointBandsFixture(6, 12, 6)
 	opts := SearchOptions{MaxAlternativesPerJob: 3}
-	linear := opts
-	linear.UseLinearScan = true
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
-		oracle, err := FindAlternatives(algo, list, batch, linear)
+		oracle, err := FindAlternatives(linearOracle{algo}, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,9 +148,7 @@ func TestIndexedSearchDisjointBands(t *testing.T) {
 func TestIndexedSearchBenchFixture(t *testing.T) {
 	list, batch := indexedBenchFixture(10000)
 	opts := SearchOptions{MaxAlternativesPerJob: 2}
-	linear := opts
-	linear.UseLinearScan = true
-	oracle, err := FindAlternatives(AMP{}, list, batch, linear)
+	oracle, err := FindAlternatives(linearOracle{AMP{}}, list, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,13 +22,6 @@ type SearchOptions struct {
 	// alternative per job — the degenerate mode most classical schedulers
 	// use, kept for the search-passes ablation.
 	FirstOnly bool
-	// UseLinearScan forces the raw front-to-back list scan (the
-	// FindWindowLinear oracle) instead of the bucketed slot.Index the
-	// drivers use by default. Both paths return byte-identical results —
-	// the scan-equivalence suites pin this — so the knob exists for
-	// differential testing, benchmarking the index against its oracle, and
-	// as an escape hatch, mirroring the dp package's UseDenseDP.
-	UseLinearScan bool
 	// Prebuilt, when non-nil, is a ready-made index the search uses instead
 	// of building one over a clone of the input list — the grid's live
 	// store hands out such clones so the steady-state path never pays a
@@ -38,14 +31,13 @@ type SearchOptions struct {
 	// Scan results do not depend on the index's bucket layout (the
 	// scan-order contract), so a prebuilt index whose tiling reflects its
 	// maintenance history returns byte-identical windows to a fresh build.
-	// Ignored — the historical clone-and-build path runs — when
-	// UseLinearScan is set or the algorithm has no indexed scan.
+	// Ignored — the historical clone-and-build path runs — when the
+	// algorithm has no indexed scan.
 	Prebuilt *slot.Index
 	// Metrics, when non-nil, receives the search's observability counters
-	// (windows found, scan lengths, pass counts, speculative rescans).
-	// Instrumentation never influences which windows are found: all
-	// observations happen on the sequential commit path, and a nil value
-	// costs nothing (see internal/metrics).
+	// (windows found, scan lengths, pass counts). Instrumentation never
+	// influences which windows are found, and a nil value costs nothing
+	// (see internal/metrics).
 	Metrics *SearchMetrics
 }
 
@@ -121,20 +113,32 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 		return nil, fmt.Errorf("alloc: empty batch")
 	}
 
-	res := &SearchResult{
-		Algorithm:    algo.Name(),
-		Alternatives: make(map[string][]*slot.Window, batch.Len()),
-	}
-
 	// newScanner decides the working list and the index lifetime: a caller-
 	// supplied prebuilt index is adopted as-is (its list IS the working
 	// list), otherwise an index is built once over a clone of the input.
 	// Either way the index is maintained incrementally through every window
 	// subtraction, so later passes pay bucket-local updates, never a
-	// rebuild. UseLinearScan (or an algorithm without an indexed scan)
-	// falls back to the raw-list oracle over a clone.
+	// rebuild. An algorithm without an indexed scan falls back to the
+	// raw-list oracle over a clone.
 	working, scan, subtract := newScanner(algo, list, opts)
+	res, err := searchPasses(algo.Name(), batch, opts, scan, subtract)
+	if err != nil {
+		return nil, err
+	}
+	res.Remaining = working
+	return res, nil
+}
 
+// searchPasses is the pass loop both drivers share (FindAlternatives and
+// FindAlternativesSharded): scan the batch in priority order, record and
+// subtract every found window, and repeat until a pass finds nothing or an
+// option cap is hit. The caller fills in Remaining.
+func searchPasses(algo string, batch *job.Batch, opts SearchOptions,
+	scan func(*job.Job) (*slot.Window, Stats, bool), subtract func(*slot.Window) error) (*SearchResult, error) {
+	res := &SearchResult{
+		Algorithm:    algo,
+		Alternatives: make(map[string][]*slot.Window, batch.Len()),
+	}
 	maxPasses := opts.MaxPasses
 	perJobCap := opts.MaxAlternativesPerJob
 	if opts.FirstOnly {
@@ -176,7 +180,7 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 				continue
 			}
 			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo.Name(), err)
+				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo, err)
 			}
 			if err := subtract(w); err != nil {
 				return nil, fmt.Errorf("alloc: subtracting window for %s: %w", j.Name, err)
@@ -188,28 +192,27 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 			break
 		}
 	}
-	res.Remaining = working
 	return res, nil
 }
 
 // newScanner binds the working list, the per-job window scan, and the window
-// subtraction of a sequential driver to either the indexed path (default) or
-// the linear oracle.
+// subtraction of a driver to either the indexed path or, for an algorithm
+// without an indexed scan, the linear oracle.
 //
 // Index-lifetime contract: exactly one index serves the whole search, and it
 // owns every mutation of the working list — subtraction goes through it so
 // its buckets stay consistent. Where that index comes from varies: a caller-
 // supplied opts.Prebuilt is adopted (ownership transfer; its List() becomes
 // the working list and is mutated in place), otherwise the input list is
-// cloned and an index built over the clone. The linear path (UseLinearScan,
-// or an algorithm without an indexed scan) has no index at all and mutates a
-// clone directly; a Prebuilt is ignored there, never half-used. The probe
+// cloned and an index built over the clone. The linear path (an algorithm
+// without an indexed scan) has no index at all and mutates a clone directly;
+// a Prebuilt is ignored there, never half-used. The probe
 // records traversal work only when metrics are attached, keeping the
 // disabled path allocation-free.
 func newScanner(algo Algorithm, list *slot.List, opts SearchOptions) (
 	working *slot.List, scan func(*job.Job) (*slot.Window, Stats, bool), subtract func(*slot.Window) error) {
 	ia, indexed := algo.(IndexedAlgorithm)
-	if !indexed || opts.UseLinearScan {
+	if !indexed {
 		w := list.Clone()
 		return w, func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindow(w, j) },
 			w.SubtractWindow

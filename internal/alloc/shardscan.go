@@ -276,9 +276,8 @@ func produceRound(refill []*shardCursor, f slot.Filter, req job.ResourceRequest,
 // shardOf must route every node to the index that holds its slots — the
 // shards must partition the vacant list by node. Results are byte-identical
 // to FindAlternatives over the merged list for every input; Remaining is the
-// merged post-subtraction list. opts.UseLinearScan and opts.Prebuilt are
-// rejected: the shard indexes are the prebuilt state, and the linear oracle
-// is inherently unsharded. work, when non-nil, accumulates scan-phase
+// merged post-subtraction list. opts.Prebuilt is rejected: the shard indexes
+// are the prebuilt state. work, when non-nil, accumulates scan-phase
 // accounting across all scans.
 func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(*resource.Node) int,
 	batch *job.Batch, opts SearchOptions, parallelism int, work *ShardWork) (*SearchResult, error) {
@@ -298,9 +297,6 @@ func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")
 	}
-	if opts.UseLinearScan {
-		return nil, fmt.Errorf("alloc: linear scan cannot be sharded")
-	}
 	if opts.Prebuilt != nil {
 		return nil, fmt.Errorf("alloc: Prebuilt is not used by the sharded search; pass the shard indexes")
 	}
@@ -308,10 +304,6 @@ func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(
 		work.ScanSlots = make([]int64, len(shards))
 	}
 
-	res := &SearchResult{
-		Algorithm:    algo.Name(),
-		Alternatives: make(map[string][]*slot.Window, batch.Len()),
-	}
 	for _, ix := range shards {
 		ix.SetMetrics(opts.Metrics.indexMetrics())
 	}
@@ -331,57 +323,11 @@ func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(
 		return nil
 	}
 
-	maxPasses := opts.MaxPasses
-	perJobCap := opts.MaxAlternativesPerJob
-	if opts.FirstOnly {
-		maxPasses = 1
-		perJobCap = 1
-	}
-	opts.Metrics.searchStarted()
-
-	for pass := 0; ; pass++ {
-		if maxPasses > 0 && pass >= maxPasses {
-			break
-		}
-		// The sterile-pass rule: a pass every job would skip is neither run
-		// nor counted (same as FindAlternatives).
-		if perJobCap > 0 {
-			capped := true
-			for _, j := range batch.Jobs() {
-				if len(res.Alternatives[j.Name]) < perJobCap {
-					capped = false
-					break
-				}
-			}
-			if capped {
-				break
-			}
-		}
-		res.Passes++
-		opts.Metrics.passDone()
-		foundAny := false
-		for _, j := range batch.Jobs() {
-			if perJobCap > 0 && len(res.Alternatives[j.Name]) >= perJobCap {
-				continue
-			}
-			w, stats, ok := findWindowSharded(sa, shards, j, parallelism, work)
-			res.Stats.Add(stats)
-			opts.Metrics.scanDone(stats, ok)
-			if !ok {
-				continue
-			}
-			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo.Name(), err)
-			}
-			if err := subtract(w); err != nil {
-				return nil, fmt.Errorf("alloc: subtracting window for %s: %w", j.Name, err)
-			}
-			res.Alternatives[j.Name] = append(res.Alternatives[j.Name], w)
-			foundAny = true
-		}
-		if !foundAny {
-			break
-		}
+	res, err := searchPasses(algo.Name(), batch, opts, func(j *job.Job) (*slot.Window, Stats, bool) {
+		return findWindowSharded(sa, shards, j, parallelism, work)
+	}, subtract)
+	if err != nil {
+		return nil, err
 	}
 	lists := make([]*slot.List, len(shards))
 	for i, ix := range shards {

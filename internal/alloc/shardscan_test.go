@@ -3,7 +3,6 @@ package alloc
 import (
 	"testing"
 
-	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/slot"
 )
@@ -116,18 +115,11 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// linearOnlyAlgo lacks the stream decomposition; the sharded driver must
-// reject it rather than silently diverge.
-type linearOnlyAlgo struct{}
-
-func (linearOnlyAlgo) Name() string { return "linear-only" }
-func (linearOnlyAlgo) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
-	return nil, Stats{}, false
-}
-
 // TestFindAlternativesShardedRejects pins the sharded driver's argument
 // contract: no algorithm without a stream scan, no empty shard set, no nil
-// assignment with several shards, no linear-scan or Prebuilt options.
+// assignment with several shards, no Prebuilt option. The linear oracle
+// lacks the stream decomposition, so it is rejected as a non-stream
+// algorithm rather than silently diverging.
 func TestFindAlternativesShardedRejects(t *testing.T) {
 	list, batch := diffScenario(t, 2)
 	shards, shardOf := shardSplit(list, 2)
@@ -140,7 +132,7 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 			return err
 		}},
 		{"non-stream algorithm", func() error {
-			_, err := FindAlternativesSharded(linearOnlyAlgo{}, shards, shardOf, batch, SearchOptions{}, 1, nil)
+			_, err := FindAlternativesSharded(linearOracle{ALP{}}, shards, shardOf, batch, SearchOptions{}, 1, nil)
 			return err
 		}},
 		{"no shards", func() error {
@@ -153,10 +145,6 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 		}},
 		{"empty batch", func() error {
 			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, nil, SearchOptions{}, 1, nil)
-			return err
-		}},
-		{"linear scan", func() error {
-			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, batch, SearchOptions{UseLinearScan: true}, 1, nil)
 			return err
 		}},
 		{"prebuilt", func() error {
@@ -172,7 +160,7 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 	if !SupportsSharded(ALP{}) || !SupportsSharded(AMP{}) {
 		t.Error("ALP/AMP must support the sharded driver")
 	}
-	if SupportsSharded(linearOnlyAlgo{}) {
-		t.Error("linear-only algorithm claims sharded support")
+	if SupportsSharded(linearOracle{AMP{}}) {
+		t.Error("linear oracle claims sharded support")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"ecosched/internal/job"
 	"ecosched/internal/metrics"
+	"ecosched/internal/resource"
 	"ecosched/internal/slot"
 )
 
@@ -17,18 +19,21 @@ import (
 // counts its final empty pass: that one did scan and is how termination is
 // detected.
 func TestNoSterileFinalPass(t *testing.T) {
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, base := range []Algorithm{ALP{}, AMP{}} {
 		for _, linear := range []bool{false, true} {
+			algo := base
+			if linear {
+				algo = linearOracle{base}
+			}
 			for _, parallelism := range []int{1, 4} {
 				name := fmt.Sprintf("%s/linear=%t/par=%d", algo.Name(), linear, parallelism)
 				t.Run(name, func(t *testing.T) {
 					reg := metrics.New()
 					opts := SearchOptions{
 						MaxAlternativesPerJob: 1,
-						UseLinearScan:         linear,
 						Metrics:               NewSearchMetrics(reg, algo.Name()),
 					}
-					res, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), opts, parallelism)
+					res, err := searchWithParallelism(algo, pooledSmallList(), twoJobBatch(), opts, parallelism)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -45,8 +50,7 @@ func TestNoSterileFinalPass(t *testing.T) {
 
 					// Uncapped control: the final empty pass is real scan work
 					// and stays counted.
-					res, err = FindAlternativesParallel(algo, smallList(), twoJobBatch(),
-						SearchOptions{UseLinearScan: linear}, parallelism)
+					res, err = searchWithParallelism(algo, pooledSmallList(), twoJobBatch(), SearchOptions{}, parallelism)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -59,54 +63,58 @@ func TestNoSterileFinalPass(t *testing.T) {
 	}
 }
 
-// TestCappedSearchSeqParIdentical pins the sequential and parallel drivers to
-// the same sterile-pass semantics: for a spread of caps the full results —
-// alternatives, pass counts, stats, remaining lists — must stay identical.
-func TestCappedSearchSeqParIdentical(t *testing.T) {
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
-		for cap := 0; cap <= 3; cap++ {
-			opts := SearchOptions{MaxAlternativesPerJob: cap}
-			seq, err := FindAlternatives(algo, smallList(), twoJobBatch(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), opts, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Passes != par.Passes {
-				t.Fatalf("%s cap=%d: Passes diverged: seq %d, par %d", algo.Name(), cap, seq.Passes, par.Passes)
-			}
-			if seq.Stats != par.Stats {
-				t.Fatalf("%s cap=%d: Stats diverged: seq %+v, par %+v", algo.Name(), cap, seq.Stats, par.Stats)
-			}
-			if seq.Remaining.String() != par.Remaining.String() {
-				t.Fatalf("%s cap=%d: Remaining diverged", algo.Name(), cap)
-			}
-			if fmt.Sprint(seq.Alternatives) != fmt.Sprint(par.Alternatives) {
-				t.Fatalf("%s cap=%d: Alternatives diverged", algo.Name(), cap)
-			}
-		}
-	}
+// pooledSmallList is smallList with its nodes numbered by a pool, as every
+// grid's nodes are: the sharded search routes and merges by node ID, so the
+// fixture's three nodes need distinct IDs to spread across shards.
+func pooledSmallList() *slot.List {
+	a := mkNode("a", 1, 2)
+	b := mkNode("b", 1, 3)
+	c := mkNode("c", 1, 4)
+	resource.MustNewPool([]*resource.Node{a, b, c})
+	return slot.NewList([]slot.Slot{
+		slot.New(a, 0, 400),
+		slot.New(b, 0, 400),
+		slot.New(c, 0, 400),
+	})
 }
 
-// TestPrebuiltIndexEquivalence proves a search that adopts a caller-built
-// index (SearchOptions.Prebuilt) returns byte-identical results to the
-// historical clone-and-build path, for both drivers, and that the prebuilt
-// path really skips the rebuild (alloc/<algo>/index/rebuilds_total stays 0).
+// searchWithParallelism runs the search on the driver a parallelism level
+// selects: 1 is FindAlternatives; above 1 the list is split by node into
+// that many shards and FindAlternativesSharded runs with as many producer
+// goroutines. An algorithm without a sharded scan (the linear oracle) always
+// takes FindAlternatives, its only driver.
+func searchWithParallelism(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions, parallelism int) (*SearchResult, error) {
+	if parallelism <= 1 || !SupportsSharded(algo) {
+		return FindAlternatives(algo, list, batch, opts)
+	}
+	shards, shardOf := shardSplit(list, parallelism)
+	return FindAlternativesSharded(algo, shards, shardOf, batch, opts, parallelism, nil)
+}
+
+// TestPrebuiltIndexEquivalence proves a search that adopts caller-built
+// indexes returns byte-identical results to the historical clone-and-build
+// path, and that the adopting path really skips the rebuild
+// (alloc/<algo>/index/rebuilds_total stays 0). At par=1 the adopted index is
+// SearchOptions.Prebuilt under FindAlternatives; at par=4 it is the shard
+// indexes handed to FindAlternativesSharded, scanned by four producers.
 func TestPrebuiltIndexEquivalence(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for _, parallelism := range []int{1, 4} {
 			name := fmt.Sprintf("%s/par=%d", algo.Name(), parallelism)
 			t.Run(name, func(t *testing.T) {
-				base, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), SearchOptions{}, parallelism)
+				base, err := FindAlternatives(algo, pooledSmallList(), twoJobBatch(), SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				reg := metrics.New()
 				opts := SearchOptions{Metrics: NewSearchMetrics(reg, algo.Name())}
-				opts.Prebuilt = slot.NewIndex(smallList().Clone(), nil)
-				got, err := FindAlternativesParallel(algo, opts.Prebuilt.List(), twoJobBatch(), opts, parallelism)
+				var got *SearchResult
+				if parallelism == 1 {
+					opts.Prebuilt = slot.NewIndex(pooledSmallList().Clone(), nil)
+					got, err = FindAlternatives(algo, opts.Prebuilt.List(), twoJobBatch(), opts)
+				} else {
+					got, err = searchWithParallelism(algo, pooledSmallList(), twoJobBatch(), opts, parallelism)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

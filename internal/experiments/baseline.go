@@ -25,9 +25,6 @@ type BaselineConfig struct {
 	Nodes int
 	// Jobs is the queue length per trial (default 12).
 	Jobs int
-	// Parallelism sets the economic scheme's search worker count
-	// (metasched.Config.Parallelism); 0 keeps the sequential scan.
-	Parallelism int
 }
 
 func (c *BaselineConfig) defaults() {
@@ -109,11 +106,10 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 			return nil, nil, err
 		}
 		ms, err := metasched.New(metasched.Config{
-			Algorithm:   alloc.AMP{},
-			Policy:      metasched.MinimizeTime,
-			Horizon:     sim.Duration(cfg.Jobs) * 200,
-			Step:        100,
-			Parallelism: cfg.Parallelism,
+			Algorithm: alloc.AMP{},
+			Policy:    metasched.MinimizeTime,
+			Horizon:   sim.Duration(cfg.Jobs) * 200,
+			Step:      100,
 		}, grid)
 		if err != nil {
 			return nil, nil, err

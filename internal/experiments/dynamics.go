@@ -26,11 +26,6 @@ type DynamicsConfig struct {
 	JobsPerSession int
 	// Iterations bounds each session (default 10).
 	Iterations int
-	// Parallelism sets the metascheduler's search worker count
-	// (metasched.Config.Parallelism); 0 keeps the sequential scan. The
-	// session outcomes are identical for every value by the parallel
-	// pipeline's determinism guarantee.
-	Parallelism int
 }
 
 func (c *DynamicsConfig) defaults() {
@@ -132,12 +127,11 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 		return err
 	}
 	sched, err := metasched.New(metasched.Config{
-		Algorithm:   algo,
-		Policy:      metasched.MinimizeTime,
-		Horizon:     1200,
-		Step:        150,
-		MaxBatch:    4,
-		Parallelism: cfg.Parallelism,
+		Algorithm: algo,
+		Policy:    metasched.MinimizeTime,
+		Horizon:   1200,
+		Step:      150,
+		MaxBatch:  4,
 	}, grid)
 	if err != nil {
 		return err

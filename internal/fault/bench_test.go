@@ -23,7 +23,7 @@ func BenchmarkFaultRate(b *testing.B) {
 			placed := 0
 			for i := 0; i < b.N; i++ {
 				seed := uint64(i%50 + 1)
-				sched := chaosScheduler(b, seed, alloc.ALP{}, metasched.MinimizeTime, 1, false, false, false)
+				sched := chaosScheduler(b, seed, alloc.ALP{}, metasched.MinimizeTime)
 				plan := chaosPlan(b, sched.Grid().Pool(), seed, rate)
 				sess, err := fault.NewSession(sched, plan, io.Discard)
 				if err != nil {

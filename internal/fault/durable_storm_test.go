@@ -20,7 +20,7 @@ import (
 // durable.Recover's factory must honor.
 func durableChaosFactory(t testing.TB, seed uint64, algo alloc.Algorithm) durable.Factory {
 	return func() (*metasched.Service, error) {
-		sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1, false, false, false)
+		sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime)
 		return metasched.NewService(sched, metasched.ServiceConfig{})
 	}
 }
@@ -49,7 +49,7 @@ func TestCrashStormSoak(t *testing.T) {
 		}{{"ALP", alloc.ALP{}}, {"AMP", alloc.AMP{}}} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, a.name), func(t *testing.T) {
 				factory := durableChaosFactory(t, seed, a.algo)
-				plan := chaosPlan(t, chaosScheduler(t, seed, a.algo, metasched.MinimizeTime, 1, false, false, false).Grid().Pool(), seed, 0.6)
+				plan := chaosPlan(t, chaosScheduler(t, seed, a.algo, metasched.MinimizeTime).Grid().Pool(), seed, 0.6)
 
 				// Uncrashed reference: plain service session, stepped so the
 				// canonical state hash is captured at every round boundary.
@@ -180,7 +180,7 @@ func TestSessionDrain(t *testing.T) {
 	sawPending := false
 	for _, seed := range []uint64{3, 7, 11} {
 		// Service mode: half-length run, then drain.
-		sched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false)
+		sched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime)
 		svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestSessionDrain(t *testing.T) {
 	}
 
 	// Batch mode: Pending counts unapplied plan events and Drain applies them.
-	sched := chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime, 1, false, false, false)
+	sched := chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime)
 	plan := chaosPlan(t, sched.Grid().Pool(), 3, 0.6)
 	sess, err := fault.NewSession(sched, plan, nil)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestSessionDrain(t *testing.T) {
 	}
 
 	// A resumed cursor is only valid on a fresh session and inside the plan.
-	fresh, err := fault.NewSession(chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime, 1, false, false, false), plan, nil)
+	fresh, err := fault.NewSession(chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSessionDrain(t *testing.T) {
 // reservation no journal record covers — to prove the crash-storm's "clean
 // after every recovery" claim has teeth.
 func TestCheckRecoveryCoherence(t *testing.T) {
-	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1, false, false, false)
+	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime)
 	a := fault.NewAudit(sched)
 	if err := a.CheckRecoveryCoherence(nil); err != nil {
 		t.Fatalf("pristine scheduler with empty ledger flagged: %v", err)

@@ -11,8 +11,8 @@
 // Everything is deterministic: a Plan is an explicit sorted event list, the
 // generators draw only from an explicitly seeded sim.RNG, and the Session
 // driver emits a canonical transcript — so the chaos soak can require
-// byte-identical behaviour across every engine toggle (DP engine, slot
-// index, search parallelism) and the Audit invariant checker can pin the
+// byte-identical behaviour across every test-only oracle engine (dense DP,
+// linear scan, vacancy rebuild) and the Audit invariant checker can pin the
 // global safety properties after every injected event.
 package fault
 

@@ -18,7 +18,7 @@ import (
 // metasched service differential.
 func TestServiceSessionMatchesBatch(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
-		batchSched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false)
+		batchSched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime)
 		plan := chaosPlan(t, batchSched.Grid().Pool(), seed, 0.6)
 		var batch strings.Builder
 		sess, err := fault.NewSession(batchSched, plan, &batch)
@@ -29,7 +29,7 @@ func TestServiceSessionMatchesBatch(t *testing.T) {
 			t.Fatalf("seed %d batch: %v", seed, err)
 		}
 
-		svcSched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false)
+		svcSched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime)
 		svc, err := metasched.NewService(svcSched, metasched.ServiceConfig{})
 		if err != nil {
 			t.Fatal(err)

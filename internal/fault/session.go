@@ -35,8 +35,9 @@ type ServiceDriver interface {
 // form. Because every input is deterministic — the plan is a sorted event
 // list, the scheduler draws only from seeded RNGs — two sessions with the
 // same seed and plan must produce byte-identical transcripts whatever the
-// engine toggles (DP engine, slot index, search parallelism); the chaos
-// soak pins exactly that. With no plan the session writes precisely what
+// engine (frontier or dense DP, indexed or linear scan, live or rebuilt
+// vacancy); the chaos soak's oracle variants in internal/metasched pin
+// exactly that. With no plan the session writes precisely what
 // WriteIterationReport + WriteSummary produce for an undisturbed run, so
 // the fault layer is provably neutral when idle.
 type Session struct {

@@ -172,7 +172,7 @@ func (g *Grid) AllTasks() []Task {
 //
 // By default the list is an O(1) copy-on-write snapshot of the live store
 // (store.go), kept byte-identical to the rebuild by the mutation hooks; under
-// the RebuildVacant knob every call re-derives it from the bookings instead.
+// SetRebuildVacant every call re-derives it from the bookings instead.
 func (g *Grid) VacantSlots(horizon sim.Time) (*slot.List, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)

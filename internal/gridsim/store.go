@@ -51,18 +51,15 @@ type vacantStore struct {
 // SetRebuildVacant toggles the oracle path: when on, VacantSlots and
 // VacantView rebuild the vacant list (and any index over it) from the
 // bookings on every call — the historical behavior — and the live stores are
-// released. Results are byte-identical either way; the knob exists for
-// differential testing, benchmarking the live store against its oracle, and
-// as an escape hatch (mirroring alloc's UseLinearScan and dp's UseDenseDP).
+// released. Results are byte-identical either way. Production code never
+// turns it on: it is the seam through which the differential tests and the
+// store benchmarks compare the live store against its oracle.
 func (g *Grid) SetRebuildVacant(on bool) {
 	g.rebuildVacant = on
 	if on {
 		g.stores = nil
 	}
 }
-
-// RebuildVacantEnabled reports whether the oracle path is forced.
-func (g *Grid) RebuildVacantEnabled() bool { return g.rebuildVacant }
 
 // SetSharding partitions the live store by node into k shards using the
 // given assignment (internal/shard provides the canonical one; gridsim only
@@ -429,7 +426,7 @@ func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 // path the index is an O(n)-copy clone of the store's — no walk, no sort, no
 // re-tiling — and the caller owns it outright: the alternative search
 // subtracts found windows from it directly (alloc.SearchOptions.Prebuilt)
-// without ever touching the store. Under the RebuildVacant knob the index is
+// without ever touching the store. Under SetRebuildVacant the index is
 // nil and the list is a fresh oracle rebuild; callers fall back to building
 // their own index, which is exactly the historical code path. A sharded grid
 // also returns a nil index — the merged list is not any one shard's — and
@@ -456,7 +453,7 @@ func (g *Grid) VacantView(horizon sim.Time) (*slot.List, *slot.Index, error) {
 // ShardViews publishes the vacancy over [Now, horizon) as one search-ready
 // index per shard, each covering exactly its shard's nodes. On the live path
 // every view is an O(n)-copy clone of that shard's store; under the
-// RebuildVacant knob each is rebuilt from the bookings. The caller owns the
+// SetRebuildVacant each is rebuilt from the bookings. The caller owns the
 // views outright (the sharded search subtracts from them in place), and
 // merging them in canonical order reproduces VacantSlots byte for byte.
 func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {

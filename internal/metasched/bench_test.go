@@ -43,6 +43,7 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 	if err := grid.Populate(gridsim.LocalLoad{MeanGap: 30, DurMin: 20, DurMax: 40}, 0, 7500, rng.Split()); err != nil {
 		b.Fatal(err)
 	}
+	grid.SetRebuildVacant(rebuild)
 	cfg := metasched.Config{
 		Algorithm:        alloc.AMP{},
 		Policy:           metasched.MinimizeTime,
@@ -50,8 +51,6 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 		Step:             150,
 		MaxBatch:         4,
 		MaxPostponements: 3,
-		Parallelism:      1,
-		RebuildVacant:    rebuild,
 		Metrics:          reg,
 	}
 	cfg.Search.MaxAlternativesPerJob = 10
@@ -105,8 +104,8 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 
 // BenchmarkLiveStoreSession is the tentpole's scaling benchmark: a full
 // 1000-node session whose vacant-slot list holds ~100k slots, run once with
-// the live incrementally-maintained store and once with the RebuildVacant
-// oracle that re-derives the list from every node's booking list on each
+// the live incrementally-maintained store and once with the rebuild oracle
+// (gridsim SetRebuildVacant) that re-derives the list from every node's booking list on each
 // publication. The live sub-benchmark also enforces the steady-state
 // contract at scale — the store is built exactly once per session
 // (gridsim/store/rebuilds_total), the search adopts the store's index

@@ -14,15 +14,54 @@ import (
 	"ecosched/internal/sim"
 )
 
+// oracles selects the test-only reference engines a session runs on. The
+// zero value is the production configuration.
+type oracles struct {
+	// dense swaps the sparse frontier DP for the dense reference tables
+	// (metasched.UseDenseDP).
+	dense bool
+	// linear swaps the slot-index scan for the linear list scan
+	// (linearOnly).
+	linear bool
+	// rebuild re-derives every publication from the bookings instead of
+	// serving it from the live vacant store (gridsim SetRebuildVacant).
+	rebuild bool
+}
+
+// linearOnly hides an algorithm's indexed scan: it exposes only Name and
+// FindWindow, so the search drivers take their linear path over the raw
+// list and a sharded session falls back to the merged single-list search.
+// The name is kept, so transcripts compare byte for byte.
+type linearOnly struct{ alloc.Algorithm }
+
+// newOracleSession applies the oracles to a session under construction:
+// rebuild is set on the grid before the scheduler adopts it, linear wraps the
+// algorithm, and dense is installed on the built scheduler.
+func newOracleSession(t testing.TB, cfg metasched.Config, grid *gridsim.Grid, o oracles) *metasched.Scheduler {
+	t.Helper()
+	grid.SetRebuildVacant(o.rebuild)
+	if o.linear {
+		cfg.Algorithm = linearOnly{cfg.Algorithm}
+	}
+	sched, err := metasched.New(cfg, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.dense {
+		metasched.UseDenseDP(sched)
+	}
+	return sched
+}
+
 // diffSessionTranscript plays one complete seeded metascheduler session and
 // renders every externally observable decision — committed windows, plan
 // criteria, postponements, drops, requeues after a node failure, and the
 // final queue — as a canonical string. Two runs with the same seed must
-// produce the same transcript regardless of Parallelism (the determinism
-// contract of the speculative parallel search), regardless of useDense
-// (the plan-identity contract of the sparse frontier DP versus the dense
-// reference tables), and regardless of useLinear (the scan-equivalence
-// contract of the bucketed slot index versus the linear oracle scan).
+// produce the same transcript whatever the oracles: the plan-identity
+// contract of the sparse frontier DP versus the dense reference tables, the
+// scan-equivalence contract of the bucketed slot index versus the linear
+// scan, and the coherence contract of the live vacant store versus the full
+// rebuild.
 //
 // The seed also selects configuration variety: demand pricing on seeds
 // divisible by 3, a live owner-local arrival stream on seeds divisible by 4,
@@ -32,10 +71,10 @@ import (
 // reg, when non-nil, attaches the observability registry to the session —
 // the transcript must not change (the metrics-neutrality contract). opts,
 // when given, mutate the assembled config last — the sharding differential
-// uses this to set Shards without widening the signature again.
-func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
+// uses this to set Shards and Parallelism.
+func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, o oracles, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
 	t.Helper()
-	return sessionTranscript(t, seed, algo, policy, parallelism, useDense, useLinear, rebuild, reg, false, opts...)
+	return sessionTranscript(t, seed, algo, policy, o, reg, false, opts...)
 }
 
 // sessionTranscript is the shared body of diffSessionTranscript and the
@@ -44,7 +83,7 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 // (Submit, Tick and HandleNodeFailure routed via the event loop). The
 // determinism contract of the continuous service is exactly that the two
 // render byte-identical transcripts.
-func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
+func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, o oracles, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -75,12 +114,8 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 		Step:             150,
 		MaxBatch:         4,
 		MaxPostponements: 3,
-		Parallelism:      parallelism,
-		UseDenseDP:       useDense,
-		RebuildVacant:    rebuild,
 		Metrics:          reg,
 	}
-	cfg.Search.UseLinearScan = useLinear
 	if seed%3 == 0 {
 		cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.8, MaxFactor: 1.3}
 	}
@@ -93,13 +128,10 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sched, err := metasched.New(cfg, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := newOracleSession(t, cfg, grid, o)
 	var svc *metasched.Service
 	if service {
-		if svc, err = metasched.NewService(sched, metasched.ServiceConfig{Workers: parallelism}); err != nil {
+		if svc, err = metasched.NewService(sched, metasched.ServiceConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,44 +193,13 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 	return b.String()
 }
 
-// TestParallelismDifferential drives full metascheduler sessions over 20
-// seeded random scenarios, both algorithms and both batch policies, and
-// asserts the Parallelism >= 4 schedule is byte-identical to the sequential
-// one: same committed windows, same plan times and costs, same postponement
-// and drop decisions, same recovery after failures.
-func TestParallelismDifferential(t *testing.T) {
-	algos := []struct {
-		name string
-		algo alloc.Algorithm
-	}{
-		{"ALP", alloc.ALP{}},
-		{"AMP", alloc.AMP{}},
-	}
-	policies := []metasched.Policy{metasched.MinimizeTime, metasched.MinimizeCost}
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, a := range algos {
-			for _, policy := range policies {
-				want := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, nil)
-				for _, parallelism := range []int{4, 8} {
-					got := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, false, nil)
-					if got != want {
-						t.Fatalf("seed %d %s %v: parallelism=%d transcript diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-							seed, a.name, policy, parallelism, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestIndexedLinearDifferential drives full metascheduler sessions over 20
 // seeded random scenarios — ALP and both AMP window policies, both batch
 // policies, demand pricing, local arrivals and node failures mixed in by the
-// seed schedule, sequentially and through the speculative parallel pipeline —
-// and asserts the default bucketed slot index produces a byte-identical
-// session transcript to the UseLinearScan oracle: same committed windows,
-// same plan times and costs, same postponements, drops, and failure
-// recovery.
+// seed schedule — and asserts the default bucketed slot index produces a
+// byte-identical session transcript to the linear oracle scan: same
+// committed windows, same plan times and costs, same postponements, drops,
+// and failure recovery.
 func TestIndexedLinearDifferential(t *testing.T) {
 	algos := []struct {
 		name string
@@ -212,13 +213,11 @@ func TestIndexedLinearDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, a := range algos {
 			for _, policy := range policies {
-				for _, parallelism := range []int{1, 4} {
-					linear := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, true, false, nil)
-					indexed := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, false, nil)
-					if linear != indexed {
-						t.Fatalf("seed %d %s %v p=%d: indexed transcript diverged from linear oracle\n--- linear ---\n%s\n--- indexed ---\n%s",
-							seed, a.name, policy, parallelism, linear, indexed)
-					}
+				linear := diffSessionTranscript(t, seed, a.algo, policy, oracles{linear: true}, nil)
+				indexed := diffSessionTranscript(t, seed, a.algo, policy, oracles{}, nil)
+				if linear != indexed {
+					t.Fatalf("seed %d %s %v: indexed transcript diverged from linear oracle\n--- linear ---\n%s\n--- indexed ---\n%s",
+						seed, a.name, policy, linear, indexed)
 				}
 			}
 		}
@@ -243,8 +242,8 @@ func TestFrontierDenseDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, a := range algos {
 			for _, policy := range policies {
-				dense := diffSessionTranscript(t, seed, a.algo, policy, 1, true, false, false, nil)
-				frontier := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, nil)
+				dense := diffSessionTranscript(t, seed, a.algo, policy, oracles{dense: true}, nil)
+				frontier := diffSessionTranscript(t, seed, a.algo, policy, oracles{}, nil)
 				if dense != frontier {
 					t.Fatalf("seed %d %s %v: frontier transcript diverged from dense oracle\n--- dense ---\n%s\n--- frontier ---\n%s",
 						seed, a.name, policy, dense, frontier)
@@ -256,11 +255,10 @@ func TestFrontierDenseDifferential(t *testing.T) {
 
 // TestLiveStoreRebuildDifferential drives full metascheduler sessions over 20
 // seeded random scenarios — both algorithms, both batch policies, indexed and
-// linear scans, sequential and parallel search — and asserts the live
-// vacant-slot store produces a byte-identical session transcript to the
-// RebuildVacant oracle that re-derives every publication from the bookings:
-// same committed windows, same plan times and costs, same postponements,
-// drops, and failure recovery.
+// linear scans — and asserts the live vacant-slot store produces a
+// byte-identical session transcript to the rebuild oracle that re-derives
+// every publication from the bookings: same committed windows, same plan
+// times and costs, same postponements, drops, and failure recovery.
 func TestLiveStoreRebuildDifferential(t *testing.T) {
 	algos := []struct {
 		name string
@@ -274,13 +272,11 @@ func TestLiveStoreRebuildDifferential(t *testing.T) {
 		for _, a := range algos {
 			for _, policy := range policies {
 				for _, useLinear := range []bool{false, true} {
-					for _, parallelism := range []int{1, 4} {
-						rebuilt := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, useLinear, true, nil)
-						live := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, useLinear, false, nil)
-						if live != rebuilt {
-							t.Fatalf("seed %d %s %v linear=%t p=%d: live-store transcript diverged from rebuild oracle\n--- rebuild ---\n%s\n--- live ---\n%s",
-								seed, a.name, policy, useLinear, parallelism, rebuilt, live)
-						}
+					rebuilt := diffSessionTranscript(t, seed, a.algo, policy, oracles{linear: useLinear, rebuild: true}, nil)
+					live := diffSessionTranscript(t, seed, a.algo, policy, oracles{linear: useLinear}, nil)
+					if live != rebuilt {
+						t.Fatalf("seed %d %s %v linear=%t: live-store transcript diverged from rebuild oracle\n--- rebuild ---\n%s\n--- live ---\n%s",
+							seed, a.name, policy, useLinear, rebuilt, live)
 					}
 				}
 			}
@@ -296,21 +292,47 @@ func TestLiveStoreRebuildDifferential(t *testing.T) {
 // fires. Seed 7 avoids demand pricing (seeds divisible by 3), which is the
 // documented prebuilt fall-back.
 func TestLiveStoreSteadyStateNoRebuilds(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
+	reg := metrics.New()
+	diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, oracles{}, reg)
+	snap := reg.Snapshot()
+	if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
+		t.Errorf("gridsim/store/rebuilds_total = %d, want exactly 1", n)
+	}
+	if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
+		t.Errorf("gridsim/store/incoherent_drops_total = %d, want 0", n)
+	}
+	if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
+		t.Errorf("alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", n)
+	}
+	if n := snap.Counter("gridsim/store/snapshots_total"); n == 0 {
+		t.Error("no store snapshots recorded — the live path did not serve the session")
+	}
+}
+
+// TestOraclesEngage guards the differentials above against comparing the
+// production engines with themselves: each oracle must really replace its
+// engine, which the metrics show — no frontier builds under dense, no
+// indexed scans under linear, no live-store snapshots under rebuild — while
+// the zero oracles use all three production engines.
+func TestOraclesEngage(t *testing.T) {
+	counters := func(o oracles) (frontier, indexScans, storeSnapshots int64) {
 		reg := metrics.New()
-		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, reg)
+		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, o, reg)
 		snap := reg.Snapshot()
-		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
-			t.Errorf("parallelism %d: gridsim/store/rebuilds_total = %d, want exactly 1", parallelism, n)
-		}
-		if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
-			t.Errorf("parallelism %d: gridsim/store/incoherent_drops_total = %d, want 0", parallelism, n)
-		}
-		if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
-			t.Errorf("parallelism %d: alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", parallelism, n)
-		}
-		if n := snap.Counter("gridsim/store/snapshots_total"); n == 0 {
-			t.Errorf("parallelism %d: no store snapshots recorded — the live path did not serve the session", parallelism)
-		}
+		return snap.Counter("metasched/engine/frontier_total"),
+			snap.Counter("alloc/AMP/index/scans_total"),
+			snap.Counter("gridsim/store/snapshots_total")
+	}
+	if f, ix, st := counters(oracles{}); f == 0 || ix == 0 || st == 0 {
+		t.Fatalf("production session: frontier=%d index scans=%d store snapshots=%d, want all > 0", f, ix, st)
+	}
+	if f, _, _ := counters(oracles{dense: true}); f != 0 {
+		t.Errorf("dense oracle session built %d frontiers, want 0", f)
+	}
+	if _, ix, _ := counters(oracles{linear: true}); ix != 0 {
+		t.Errorf("linear oracle session ran %d indexed scans, want 0", ix)
+	}
+	if _, _, st := counters(oracles{rebuild: true}); st != 0 {
+		t.Errorf("rebuild oracle session took %d live-store snapshots, want 0", st)
 	}
 }

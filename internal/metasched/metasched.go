@@ -58,11 +58,11 @@ type Config struct {
 	MaxPostponements int
 	// Search tunes the alternative search.
 	Search alloc.SearchOptions
-	// Parallelism is the number of goroutines running the per-job window
-	// scans of each iteration's alternative search. 0 or 1 keeps the
-	// classic sequential scan; higher values use the speculative parallel
-	// pipeline (alloc.FindAlternativesParallel), which is guaranteed to
-	// produce the identical schedule — only wall-clock time changes.
+	// Parallelism bounds the goroutines that produce per-shard scan
+	// candidates in each refill round of the federated search; it needs
+	// Shards > 1 (Validate rejects it otherwise) and any value yields the
+	// identical schedule. 0 or 1 keeps the producers on the search's own
+	// goroutine.
 	Parallelism int
 	// Shards partitions the grid's nodes into this many federated domains
 	// (internal/shard): each shard owns the live vacant store and search
@@ -70,9 +70,9 @@ type Config struct {
 	// the combination layer merges per-job alternatives in canonical order
 	// before optimization — byte-identical schedules for every value (the
 	// sharding differential pins this). 0 or 1 keeps the single-domain
-	// behavior. Searches that cannot stream per shard (UseLinearScan, or
-	// an algorithm without an indexed scan) transparently fall back to the
-	// merged single-list search, still byte-identical.
+	// behavior. An algorithm that cannot stream per shard (one without an
+	// indexed scan) transparently falls back to the merged single-list
+	// search, still byte-identical.
 	Shards int
 	// MaxBudgetStates, when positive, switches the minimize-time optimizer
 	// to the approximate money-grid DP (dp.MinimizeTimeGrid) with grid
@@ -81,13 +81,6 @@ type Config struct {
 	// Ignored under the minimize-cost policy, whose constraint axis is
 	// integral time and needs no discretization.
 	MaxBudgetStates int
-	// UseDenseDP switches the combination optimizer from the sparse
-	// Pareto-frontier engine (dp.NewFrontier) to the dense reference
-	// tables. The two are proven plan-identical by differential tests;
-	// the dense path exists as the oracle and costs O(n·q) time and
-	// memory per iteration instead of scaling with the number of distinct
-	// (time, cost) trade-offs.
-	UseDenseDP bool
 	// DemandPricing, when non-nil, scales the published slot prices by
 	// the grid's current utilization before each iteration's search —
 	// the supply-and-demand mechanism from the paper's future work.
@@ -106,14 +99,6 @@ type Config struct {
 	// across iterations: before each publication, fresh owner-local tasks
 	// are booked into the part of the horizon that became newly visible.
 	LocalArrivals *LocalArrivals
-	// RebuildVacant routes every publication through the grid's
-	// full-rebuild oracle (gridsim.RebuildVacantSlots) instead of the live
-	// vacant-slot store, and disables the prebuilt search index that rides
-	// on it. The two paths are byte-identical — the equivalence suites and
-	// the fault auditor pin this — so the knob exists for differential
-	// testing, benchmarking the store against its oracle, and as an escape
-	// hatch, mirroring UseDenseDP and Search.UseLinearScan.
-	RebuildVacant bool
 	// Retry, when non-nil, governs what a cancelled job does after a node
 	// failure or slot revocation: bounded attempts with deterministic
 	// exponential backoff, a price-cap degradation ladder, and terminal
@@ -179,6 +164,9 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("metasched: negative parallelism %d", c.Parallelism)
+	}
+	if c.Parallelism > 1 && c.Shards <= 1 {
+		return fmt.Errorf("metasched: parallelism %d needs shards > 1: it bounds the per-shard scan producers", c.Parallelism)
 	}
 	if c.DemandPricing != nil {
 		if err := c.DemandPricing.Validate(); err != nil {
@@ -271,6 +259,9 @@ type Scheduler struct {
 	// shardMetrics instruments the federated search; nil when metrics are
 	// off or the session is unsharded.
 	shardMetrics *shard.Metrics
+	// denseOracle, when set (only by tests, see export_test.go), replaces
+	// the frontier engine with the dense reference tables.
+	denseOracle func(*job.Batch, dp.Alternatives) (*dp.Plan, error)
 }
 
 // New creates a scheduler over the grid.
@@ -288,7 +279,6 @@ func New(cfg Config, grid *gridsim.Grid) (*Scheduler, error) {
 		firstSubmit: make(map[string]sim.Time),
 		droppedJobs: make(map[string]string),
 	}
-	grid.SetRebuildVacant(cfg.RebuildVacant)
 	s.part = shard.New(cfg.Shards)
 	if s.part.K() > 1 {
 		if err := grid.SetSharding(s.part.K(), s.part.Of); err != nil {
@@ -400,28 +390,14 @@ func (s *Scheduler) findQueued(name string) *queued {
 }
 
 // optimize runs the second phase of the scheme on the covered sub-batch:
-// derive T* and B*, then solve the configured policy. The production path
-// builds the sparse frontier once and answers both the limit derivation and
-// the policy run from it; the dense path (UseDenseDP) rebuilds a table for
-// each, exactly as the reference formulation does.
+// derive T* and B*, then solve the configured policy. The sparse frontier is
+// built once and answers both the limit derivation and the policy run. A
+// test may install the dense reference tables in its place (denseOracle).
 func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, error) {
-	gridEngine := s.cfg.Policy != MinimizeCost && s.cfg.MaxBudgetStates > 0
-	if s.cfg.UseDenseDP {
-		limits, err := dp.ComputeLimitsDense(batch, alts)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.engineUsed(nil, true, gridEngine)
-		switch s.cfg.Policy {
-		case MinimizeCost:
-			return dp.MinimizeCostDense(batch, alts, limits.Quota)
-		default:
-			if gridEngine {
-				return dp.MinimizeTimeGrid(batch, alts, limits.Budget, budgetGrid(limits.Budget, s.cfg.MaxBudgetStates))
-			}
-			return dp.MinimizeTimeDense(batch, alts, limits.Budget)
-		}
+	if s.denseOracle != nil {
+		return s.denseOracle(batch, alts)
 	}
+	gridEngine := s.cfg.Policy != MinimizeCost && s.cfg.MaxBudgetStates > 0
 	fr, err := dp.NewFrontier(batch, alts)
 	if err != nil {
 		return nil, err
@@ -430,7 +406,7 @@ func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, 
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.engineUsed(fr, false, gridEngine)
+	s.metrics.engineUsed(fr, gridEngine)
 	switch s.cfg.Policy {
 	case MinimizeCost:
 		return fr.MinimizeCost(limits.Quota)

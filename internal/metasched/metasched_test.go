@@ -40,6 +40,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *metasched.Config) { c.Horizon = 0 },
 		func(c *metasched.Config) { c.Step = 0 },
 		func(c *metasched.Config) { c.MaxBatch = -1 },
+		func(c *metasched.Config) { c.Parallelism = -1 },
+		// Parallelism bounds the per-shard producers, so without shards
+		// it would silently do nothing.
+		func(c *metasched.Config) { c.Parallelism = 4 },
+		func(c *metasched.Config) { c.Parallelism, c.Shards = 4, 1 },
 	}
 	for i, mod := range mods {
 		c := validConfig()
@@ -47,6 +52,11 @@ func TestConfigValidate(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	sharded := validConfig()
+	sharded.Parallelism, sharded.Shards = 4, 2
+	if err := sharded.Validate(); err != nil {
+		t.Errorf("parallel producers over 2 shards rejected: %v", err)
 	}
 }
 

@@ -51,7 +51,6 @@ type schedMetrics struct {
 	retryDropDeadline *metrics.Counter
 	// Optimizer engine selection.
 	engineFrontier *metrics.Counter
-	engineDense    *metrics.Counter
 	engineGrid     *metrics.Counter
 	// frontier feeds the dp-level accounting of every built frontier.
 	frontier *dp.FrontierMetrics
@@ -88,7 +87,6 @@ func newSchedMetrics(r *metrics.Registry) *schedMetrics {
 		retryDropExhaust:    r.Counter("metasched/retry/dropped_exhausted_total"),
 		retryDropDeadline:   r.Counter("metasched/retry/dropped_deadline_total"),
 		engineFrontier:      r.Counter("metasched/engine/frontier_total"),
-		engineDense:         r.Counter("metasched/engine/dense_total"),
 		engineGrid:          r.Counter("metasched/engine/grid_total"),
 		frontier:            dp.NewFrontierMetrics(r),
 	}
@@ -296,22 +294,15 @@ func (m *serviceMetrics) requeued(backoff sim.Duration) {
 	m.requeueBackoff.Observe(int64(backoff))
 }
 
-// engineUsed records which optimizer engine answered this iteration and, for
-// the sparse engine, its per-build accounting.
-func (m *schedMetrics) engineUsed(fr *dp.Frontier, dense, grid bool) {
+// engineUsed records the frontier build of this iteration (its per-build
+// accounting) and whether the money-grid engine answered the policy.
+func (m *schedMetrics) engineUsed(fr *dp.Frontier, grid bool) {
 	if m == nil {
 		return
 	}
-	switch {
-	case dense:
-		m.engineDense.Inc()
-	default:
-		m.engineFrontier.Inc()
-		if fr != nil {
-			fr.Observe(m.frontier)
-			m.phaseOptimizePoints.Observe(int64(fr.Size()))
-		}
-	}
+	m.engineFrontier.Inc()
+	fr.Observe(m.frontier)
+	m.phaseOptimizePoints.Observe(int64(fr.Size()))
 	if grid {
 		m.engineGrid.Inc()
 	}

@@ -27,8 +27,8 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, a := range algos {
 			for _, policy := range policies {
-				off := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, nil)
-				on := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, metrics.New())
+				off := diffSessionTranscript(t, seed, a.algo, policy, oracles{}, nil)
+				on := diffSessionTranscript(t, seed, a.algo, policy, oracles{}, metrics.New())
 				if on != off {
 					t.Fatalf("seed %d %s %v: transcript changed with metrics attached\n--- metrics off ---\n%s\n--- metrics on ---\n%s",
 						seed, a.name, policy, off, on)
@@ -40,20 +40,20 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 
 // TestMetricsSnapshotDeterministic runs two identical seeded sessions with
 // fresh registries and asserts the snapshots encode byte-identically — for
-// the sequential search and for the speculative parallel pipeline, whose
-// atomic instruments are order-independent sums. The seeds cover demand
-// pricing (12, 15), live local arrivals (12, 20) and node failures (15, 20).
+// the single-domain search and for a K=2 federation whose per-shard scan
+// producers run on 4 goroutines. The seeds cover demand pricing (12, 15),
+// live local arrivals (12, 20) and node failures (15, 20).
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	for _, seed := range []uint64{7, 12, 15, 20} {
-		for _, parallelism := range []int{1, 4} {
+		for _, fed := range []struct{ shards, parallelism int }{{1, 1}, {2, 4}} {
 			r1 := metrics.New()
-			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, r1)
+			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, oracles{}, r1, withShards(fed.shards, fed.parallelism))
 			r2 := metrics.New()
-			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, r2)
+			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, oracles{}, r2, withShards(fed.shards, fed.parallelism))
 			s1, s2 := r1.Snapshot().Text(), r2.Snapshot().Text()
 			if s1 != s2 {
-				t.Fatalf("seed %d parallelism %d: identical sessions produced different snapshots\n--- first ---\n%s\n--- second ---\n%s",
-					seed, parallelism, s1, s2)
+				t.Fatalf("seed %d shards %d parallelism %d: identical sessions produced different snapshots\n--- first ---\n%s\n--- second ---\n%s",
+					seed, fed.shards, fed.parallelism, s1, s2)
 			}
 			if s1 == "" {
 				t.Fatalf("seed %d: session produced an empty snapshot", seed)
@@ -78,7 +78,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // registry must equal what the IterationReports record.
 func TestMetricsCrossCheckSession(t *testing.T) {
 	reg := metrics.New()
-	transcript := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false, reg)
+	transcript := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, oracles{}, reg)
 	snap := reg.Snapshot()
 	iters := snap.Counter("metasched/iterations_total")
 	if iters <= 0 {

@@ -8,25 +8,10 @@ import (
 	"ecosched/internal/sim"
 )
 
-// ServiceConfig parameterizes the continuous-service wrapper.
-type ServiceConfig struct {
-	// Workers bounds the planning worker pool of each evaluation round: it
-	// overrides the scheduler's Parallelism for the search phase only. The
-	// apply phase is always serial — a single applier re-validates every
-	// plan — and because the speculative parallel search is proven
-	// schedule-identical for every worker count, transcripts are
-	// byte-identical for every Workers value. 0 inherits the scheduler's
-	// configured Parallelism.
-	Workers int
-}
-
-// Validate checks the service parameters.
-func (c ServiceConfig) Validate() error {
-	if c.Workers < 0 {
-		return fmt.Errorf("metasched: negative service workers %d", c.Workers)
-	}
-	return nil
-}
+// ServiceConfig parameterizes the continuous-service wrapper. It has no
+// fields: planning runs the scheduler's own search and the apply phase is
+// always serial, so there is nothing for a service to tune.
+type ServiceConfig struct{}
 
 // Service wraps a Scheduler as a long-running, event-driven metascheduler —
 // the eval/plan/apply architecture: events (job submission, node failure and
@@ -43,12 +28,12 @@ func (c ServiceConfig) Validate() error {
 // scheduling decision (planning always reads the full current state). With
 // a fixed seed and event order, driving the service tick by tick therefore
 // produces byte-identical session transcripts to batch RunIteration — the
-// 20-seed service differential pins this across every engine toggle.
+// 20-seed service differential pins this across store modes and shard
+// counts.
 type Service struct {
-	s   *Scheduler
-	cfg ServiceConfig
-	q   evalQueue
-	m   *serviceMetrics
+	s *Scheduler
+	q evalQueue
+	m *serviceMetrics
 	// round is the open evaluation round; nil between rounds.
 	round *Round
 	// requeues counts per-job stale-rejection requeues, the attempt number
@@ -57,16 +42,12 @@ type Service struct {
 }
 
 // NewService wraps the scheduler.
-func NewService(s *Scheduler, cfg ServiceConfig) (*Service, error) {
+func NewService(s *Scheduler, _ ServiceConfig) (*Service, error) {
 	if s == nil {
 		return nil, fmt.Errorf("metasched: nil scheduler")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	return &Service{
 		s:        s,
-		cfg:      cfg,
 		m:        newServiceMetrics(s.cfg.Metrics),
 		requeues: make(map[string]int),
 	}, nil
@@ -191,19 +172,9 @@ func (r *Round) Evals() []*Eval { return r.evals }
 func (r *Round) Iteration() *Iteration { return r.it }
 
 // Evaluate runs the planning phase against the round's snapshot: publish
-// vacancy (stamped with the grid epoch), search alternatives under the
-// service's worker bound, and optimize the combination. The resulting Plan
-// is held pending until Apply.
-func (r *Round) Evaluate() error {
-	s := r.sv.s
-	saved := s.cfg.Parallelism
-	if r.sv.cfg.Workers > 0 {
-		s.cfg.Parallelism = r.sv.cfg.Workers
-	}
-	err := r.it.Plan()
-	s.cfg.Parallelism = saved
-	return err
-}
+// vacancy (stamped with the grid epoch), search alternatives, and optimize
+// the combination. The resulting Plan is held pending until Apply.
+func (r *Round) Evaluate() error { return r.it.Plan() }
 
 // Plan returns the round's pending plan: non-nil between Evaluate and Apply
 // when the optimizer chose a combination.

@@ -56,18 +56,15 @@ func newStaleHarnessWithMetrics(t *testing.T, reg *metrics.Registry) *staleHarne
 	return h
 }
 
-// TestServiceConfigValidate pins the constructor's error paths: a nil
-// scheduler and negative workers are rejected, zero workers inherits.
+// TestServiceConfigValidate pins the constructor's contract: a nil scheduler
+// is rejected, and the (field-less) configuration always is accepted.
 func TestServiceConfigValidate(t *testing.T) {
 	if _, err := metasched.NewService(nil, metasched.ServiceConfig{}); err == nil {
 		t.Fatal("NewService(nil) accepted a nil scheduler")
 	}
 	h := newStaleHarness(t, 1)
-	if _, err := metasched.NewService(h.sched, metasched.ServiceConfig{Workers: -1}); err == nil {
-		t.Fatal("NewService accepted negative Workers")
-	}
-	if err := (metasched.ServiceConfig{Workers: 2}).Validate(); err != nil {
-		t.Fatalf("Validate(Workers: 2) = %v, want nil", err)
+	if _, err := metasched.NewService(h.sched, metasched.ServiceConfig{}); err != nil {
+		t.Fatalf("NewService(scheduler, ServiceConfig{}) = %v, want nil", err)
 	}
 }
 

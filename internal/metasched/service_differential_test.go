@@ -14,7 +14,8 @@ import (
 // seed schedule — driving the session through metasched.Service (events
 // enqueue evaluations, each step is an evaluation round) produces a
 // byte-identical transcript to batch RunIteration, across {ALP, AMP} ×
-// {sequential, parallel} × {live store, rebuild oracle} × shards {1, 4}.
+// {live store, rebuild oracle} × {K=1, K=4 with sequential producers, K=4
+// with parallel producers}.
 // The policy alternates with seed parity so both batch criteria are covered
 // without doubling the sweep.
 func TestServiceBatchDifferential(t *testing.T) {
@@ -31,17 +32,14 @@ func TestServiceBatchDifferential(t *testing.T) {
 			policy = metasched.MinimizeCost
 		}
 		for _, a := range algos {
-			for _, parallelism := range []int{1, 4} {
-				for _, rebuild := range []bool{false, true} {
-					for _, shards := range []int{1, 4} {
-						batch := sessionTranscript(t, seed, a.algo, policy, parallelism,
-							false, false, rebuild, nil, false, withShards(shards))
-						service := sessionTranscript(t, seed, a.algo, policy, parallelism,
-							false, false, rebuild, nil, true, withShards(shards))
-						if service != batch {
-							t.Fatalf("seed %d %s %v p=%d rebuild=%t shards=%d: service transcript diverged from batch\n--- batch ---\n%s\n--- service ---\n%s",
-								seed, a.name, policy, parallelism, rebuild, shards, batch, service)
-						}
+			for _, rebuild := range []bool{false, true} {
+				for _, fed := range []struct{ shards, parallelism int }{{1, 1}, {4, 1}, {4, 4}} {
+					opt := withShards(fed.shards, fed.parallelism)
+					batch := sessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, false, opt)
+					service := sessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, true, opt)
+					if service != batch {
+						t.Fatalf("seed %d %s %v p=%d rebuild=%t shards=%d: service transcript diverged from batch\n--- batch ---\n%s\n--- service ---\n%s",
+							seed, a.name, policy, fed.parallelism, rebuild, fed.shards, batch, service)
 					}
 				}
 			}
@@ -56,9 +54,9 @@ func TestServiceBatchDifferential(t *testing.T) {
 // queue drained, and the plan applies all took the fast path on an
 // undisturbed single-writer run.
 func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
-	bare := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false, nil, true)
+	bare := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, oracles{}, nil, true)
 	reg := metrics.New()
-	instrumented := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false, reg, true)
+	instrumented := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, oracles{}, reg, true)
 	if bare != instrumented {
 		t.Fatalf("metrics changed the service transcript\n--- bare ---\n%s\n--- instrumented ---\n%s", bare, instrumented)
 	}

@@ -8,16 +8,20 @@ import (
 	"ecosched/internal/metrics"
 )
 
-// withShards returns a config option setting the federation's shard count.
-func withShards(k int) func(*metasched.Config) {
-	return func(c *metasched.Config) { c.Shards = k }
+// withShards returns a config option setting the federation's shard count
+// and the per-shard producer parallelism (which needs k > 1).
+func withShards(k, parallelism int) func(*metasched.Config) {
+	return func(c *metasched.Config) {
+		c.Shards = k
+		c.Parallelism = parallelism
+	}
 }
 
 // TestShardDifferential is the sharding equivalence suite: over 20 seeded
 // random sessions (covering demand pricing, live local arrivals, and a
 // mid-session node failure by seed selection), both algorithms, sequential
-// and parallel producer pools, and both the live store and the rebuild-vacant
-// oracle path, the federated session at K ∈ {2, 4, 7} must produce a
+// and parallel per-shard producers, and both the live store and the rebuild
+// oracle, the federated session at K ∈ {2, 4, 7} must produce a
 // transcript byte-identical to the single-domain K=1 session: same committed
 // windows, plan criteria, postponements, drops, and failure re-queues. The
 // batch policy alternates by seed so both criteria are swept without doubling
@@ -36,11 +40,11 @@ func TestShardDifferential(t *testing.T) {
 			policy = metasched.MinimizeCost
 		}
 		for _, a := range algos {
-			for _, parallelism := range []int{1, 4} {
-				for _, rebuild := range []bool{false, true} {
-					want := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, rebuild, nil)
+			for _, rebuild := range []bool{false, true} {
+				want := diffSessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil)
+				for _, parallelism := range []int{1, 4} {
 					for _, k := range []int{2, 4, 7} {
-						got := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, rebuild, nil, withShards(k))
+						got := diffSessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, withShards(k, parallelism))
 						if got != want {
 							t.Fatalf("seed %d %s %v p=%d rebuild=%t: K=%d session diverged from K=1\n--- K=1 ---\n%s\n--- K=%d ---\n%s",
 								seed, a.name, policy, parallelism, rebuild, k, want, k, got)
@@ -53,14 +57,14 @@ func TestShardDifferential(t *testing.T) {
 }
 
 // TestShardLinearFallbackDifferential pins the transparent fallback: a
-// sharded session forced onto the linear scan cannot stream per shard, so it
+// sharded session on the linear oracle scan cannot stream per shard, so it
 // searches the canonical merge of the shard stores — and must still be
 // byte-identical to the unsharded linear session.
 func TestShardLinearFallbackDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for _, a := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
-			want := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, 1, false, true, false, nil)
-			got := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, 1, false, true, false, nil, withShards(4))
+			want := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, oracles{linear: true}, nil)
+			got := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, oracles{linear: true}, nil, withShards(4, 1))
 			if got != want {
 				t.Fatalf("seed %d %s: sharded linear fallback diverged\n--- K=1 ---\n%s\n--- K=4 ---\n%s",
 					seed, a.Name(), want, got)
@@ -78,7 +82,7 @@ func TestShardLinearFallbackDifferential(t *testing.T) {
 func TestShardedSteadyStateAdoptsViews(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		reg := metrics.New()
-		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, reg, withShards(2))
+		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, oracles{}, reg, withShards(2, parallelism))
 		snap := reg.Snapshot()
 		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 2 {
 			t.Errorf("parallelism %d: gridsim/store/rebuilds_total = %d, want exactly 2 (one per shard)", parallelism, n)

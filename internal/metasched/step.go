@@ -104,7 +104,7 @@ func (it *Iteration) Plan() error {
 		return err
 	}
 	var search *alloc.SearchResult
-	if s.part.K() > 1 && !s.cfg.Search.UseLinearScan && alloc.SupportsSharded(s.cfg.Algorithm) {
+	if s.part.K() > 1 && alloc.SupportsSharded(s.cfg.Algorithm) {
 		// Federated path: each shard publishes its own vacant view (a live
 		// store clone, or a per-shard rebuild under the oracle knob), the
 		// candidate scans fan out per shard, and the merge layer recombines
@@ -139,8 +139,8 @@ func (it *Iteration) Plan() error {
 		// prebuilt index clone the search adopts instead of rebuilding one —
 		// the committed windows of the previous iteration already landed in the
 		// store as deltas, so the steady-state path never pays a NewIndex. A
-		// sharded grid that cannot stream per shard (linear scan, or an
-		// algorithm without an indexed scan) lands here too: VacantView then
+		// sharded grid whose algorithm cannot stream per shard (one without
+		// an indexed scan) lands here too: VacantView then
 		// serves the canonical merge of the shard stores with no prebuilt
 		// index, which searches identically to the single-domain list.
 		vacant, prebuilt, err := s.grid.VacantView(horizon)
@@ -160,7 +160,7 @@ func (it *Iteration) Plan() error {
 		s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacant.Len(), batch.Len())
 		searchOpts := s.cfg.Search
 		searchOpts.Prebuilt = prebuilt
-		search, err = alloc.FindAlternativesParallel(s.cfg.Algorithm, vacant, batch, searchOpts, s.cfg.Parallelism)
+		search, err = alloc.FindAlternatives(s.cfg.Algorithm, vacant, batch, searchOpts)
 		if err != nil {
 			return err
 		}

@@ -21,8 +21,7 @@
 //     the disabled-path benchmarks.
 //
 // Instruments are safe for concurrent use: all state is atomic, so the
-// speculative parallel search and the experiment worker pools can increment
-// shared counters. Totals are order-independent sums, which preserves the
+// experiment worker pools can increment shared counters. Totals are order-independent sums, which preserves the
 // byte-identical-snapshot guarantee for any worker count.
 package metrics
 

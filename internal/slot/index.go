@@ -48,8 +48,7 @@ type bucket struct {
 // in internal/metasched).
 //
 // An Index is safe for concurrent readers as long as no goroutine mutates
-// it, which is how the parallel search shares one per-round snapshot index
-// across its scan workers.
+// it.
 type Index struct {
 	list    *List
 	target  int

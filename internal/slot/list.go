@@ -150,23 +150,6 @@ func (l *List) ensureOwned() {
 	l.shared = false
 }
 
-// PrefixEqual reports whether the first n slots of l and other are pairwise
-// identical (same node, price, and span). It is the conflict test of the
-// speculative parallel search: a front-to-back window scan that examined only
-// the first n slots behaves identically on both lists when their n-prefixes
-// match. n larger than either list's length returns false.
-func (l *List) PrefixEqual(other *List, n int) bool {
-	if n > len(l.slots) || n > len(other.slots) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if l.slots[i] != other.slots[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Insert adds a slot, keeping the canonical order. Empty slots are ignored,
 // matching the paper's rule that zero-span remainders K1/K2 are not added.
 func (l *List) Insert(s Slot) {

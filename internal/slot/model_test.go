@@ -36,18 +36,6 @@ func (m listModel) removeAt(i int) listModel {
 	return append(out[:i], out[i+1:]...)
 }
 
-func (m listModel) prefixEqual(other listModel, n int) bool {
-	if n > len(m) || n > len(other) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if m[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // equalTo compares the model against a List slot by slot.
 func (m listModel) equalTo(l *List) bool {
 	if len(m) != l.Len() {
@@ -74,11 +62,9 @@ func randomSlot(rng *sim.RNG, nodes []*resource.Node) Slot {
 }
 
 // TestListModelInterleavings drives long random interleavings of Insert,
-// RemoveAt, Snapshot, and PrefixEqual against the naive slice model: after
-// every step the live list must match the live model, every outstanding
-// snapshot must still match the model state frozen when it was taken, and
-// PrefixEqual must agree with the model's element-wise comparison for every
-// probe length. This is the copy-on-write contract stated as a refinement of
+// RemoveAt, and Snapshot against the naive slice model: after every step the
+// live list must match the live model, and every outstanding snapshot must
+// still match the model state frozen when it was taken. This is the copy-on-write contract stated as a refinement of
 // value semantics rather than as hand-picked scenarios.
 func TestListModelInterleavings(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -105,21 +91,8 @@ func TestListModelInterleavings(t *testing.T) {
 				i := rng.IntN(list.Len())
 				list.RemoveAt(i)
 				model = model.removeAt(i)
-			case op < 8: // snapshot
+			default: // snapshot
 				snaps = append(snaps, frozen{view: list.Snapshot(), model: model.clone(), step: step})
-			default: // prefix probes against a random frozen snapshot
-				if len(snaps) == 0 {
-					continue
-				}
-				sn := snaps[rng.IntN(len(snaps))]
-				for _, n := range []int{0, list.Len() / 2, list.Len(), list.Len() + 1} {
-					got := list.PrefixEqual(sn.view, n)
-					want := model.prefixEqual(sn.model, n)
-					if got != want {
-						t.Fatalf("%s: PrefixEqual(snapshot@%d, %d) = %v, model says %v",
-							label, sn.step, n, got, want)
-					}
-				}
 			}
 			if !model.equalTo(list) {
 				t.Fatalf("%s: list diverged from model\nlist:  %v\nmodel: %v", label, list.Slots(), []Slot(model))

@@ -148,8 +148,8 @@ func (r *Recorder) BeginIteration(iteration int, now sim.Time) {
 }
 
 // Record appends an event. The detail string is formatted before the lock is
-// taken so concurrent emitters (e.g. search workers) contend only for the
-// ring insertion, not for each other's formatting work.
+// taken so concurrent emitters contend only for the ring insertion, not for
+// each other's formatting work.
 func (r *Recorder) Record(kind Kind, job, detailFormat string, args ...any) {
 	if r == nil || r.capacity <= 0 {
 		return
