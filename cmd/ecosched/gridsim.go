@@ -12,16 +12,15 @@ import (
 	"ecosched/internal/sim"
 )
 
-// runGridsim drives a multi-iteration metascheduler session on a randomly
-// loaded grid: jobs arrive over time, local owner tasks occupy nodes, and
-// the scheduler places what it can each iteration, postponing the rest.
-// shards federates the grid into that many sharded domains with cross-shard
-// combination, and parallelism bounds the per-shard scan producers; the
-// schedule is byte-identical for every combination. service swaps the batch iteration loop for the
-// continuous-service event loop (submits and ticks enqueue evaluations; the
-// reports are identical). reg, when non-nil, collects the session's metrics
-// for the caller's -metrics dump.
-func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics.Registry) error {
+// runGridsim drives a multi-round metascheduler session through the
+// continuous service on a randomly loaded grid: local owner tasks occupy
+// nodes, submits and ticks enqueue evaluations, and each round places what it
+// can, postponing the rest. shards federates the grid into that many sharded
+// domains with cross-shard combination, and parallelism bounds the per-shard
+// scan producers; the schedule is byte-identical for every combination. reg,
+// when non-nil, collects the session's metrics for the caller's -metrics
+// dump.
+func runGridsim(seed uint64, parallelism, shards int, reg *metrics.Registry) error {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
 	var nodes []*resource.Node
@@ -63,12 +62,9 @@ func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics
 	if err != nil {
 		return err
 	}
-	var svc *metasched.Service
-	if service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{})
-		if err != nil {
-			return err
-		}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		return err
 	}
 	for i := 0; i < 10; i++ {
 		j := &job.Job{
@@ -81,33 +77,15 @@ func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.5)),
 			},
 		}
-		if svc != nil {
-			err = svc.Submit(j)
-		} else {
-			err = sched.Submit(j)
-		}
-		if err != nil {
+		if err := svc.Submit(j); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("grid: %d nodes in %d domains, initial utilization %.0f%%\n",
 		pool.Size(), len(pool.Domains()), 100*grid.Utilization(2400))
-	var reports []*metasched.IterationReport
-	if svc != nil {
-		// Service mode: tick rounds until the queue drains, the event-loop
-		// equivalent of RunUntilDrained — identical reports by construction.
-		for i := 0; i < 8 && sched.QueueLength() > 0; i++ {
-			rep, err := svc.Tick()
-			if err != nil {
-				return err
-			}
-			reports = append(reports, rep)
-		}
-	} else {
-		reports, err = sched.RunUntilDrained(8)
-		if err != nil {
-			return err
-		}
+	reports, err := svc.RunUntilDrained(8)
+	if err != nil {
+		return err
 	}
 	for _, r := range reports {
 		fmt.Printf("iteration %d (t=%v): batch=%d placed=%d postponed=%d dropped=%d alternatives=%d planT=%v planC=%v\n",

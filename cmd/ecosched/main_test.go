@@ -45,7 +45,7 @@ func TestSubcommandsRun(t *testing.T) {
 		{"chaos"},
 		{"chaos", "-faults", "fail@300:cpu3;recover@600:cpu3;revoke@450:cpu5:500-700"},
 		{"chaos", "-shards", "2"},
-		{"chaos", "-service"},
+		{"mc", "-universe", "tiny", "-service", "-depth", "3", "-states", "500"},
 		{"mc", "-universe", "2shard", "-depth", "4", "-states", "2000"},
 		{"help"},
 	}
@@ -121,7 +121,7 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 }
 
 // TestChaosJournalRecover drives the durability flags end to end: a journaled
-// chaos -service session, a recover that must reproduce it, and a second
+// chaos session, a recover that must reproduce it, and a second
 // recover that must print the identical canonical state hash — the CLI-level
 // version of the byte-identical recovery proof.
 func TestChaosJournalRecover(t *testing.T) {
@@ -150,7 +150,7 @@ func TestChaosJournalRecover(t *testing.T) {
 		return string(data)
 	}
 
-	out := capture([]string{"chaos", "-service", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
+	out := capture([]string{"chaos", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
 	if !containsStr(out, "journal: "+journal) {
 		t.Fatalf("chaos output missing journal summary:\n%s", out)
 	}
@@ -169,10 +169,17 @@ func TestChaosJournalRecover(t *testing.T) {
 		t.Fatalf("two recoveries of the same journal diverged\n--- first ---\n%s\n--- second ---\n%s", rec1, rec2)
 	}
 
-	// The flags guard their prerequisites.
-	if err := run([]string{"chaos", "-journal", journal}); err == nil {
-		t.Error("chaos -journal without -service accepted")
+	// A journal needs no extra flag (chaos always runs the service), but it
+	// must start empty: New refuses history it does not have.
+	fresh := filepath.Join(dir, "fresh.journal")
+	if out := capture([]string{"chaos", "-journal", fresh, "-seed", "7"}); !containsStr(out, "journal: "+fresh) {
+		t.Fatalf("chaos -journal output missing journal summary:\n%s", out)
 	}
+	if err := run([]string{"chaos", "-journal", journal}); err == nil {
+		t.Error("chaos -journal over an existing journal accepted")
+	}
+
+	// The flags guard their prerequisites.
 	if err := run([]string{"recover"}); err == nil {
 		t.Error("recover without -journal accepted")
 	}
@@ -241,6 +248,11 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := run([]string{"gridsim", "-parallelism", "4"}); err == nil {
 		t.Error("-parallelism without -shards accepted")
+	}
+	for _, cmd := range []string{"gridsim", "chaos"} {
+		if err := run([]string{cmd, "-service"}); err == nil {
+			t.Errorf("%s -service accepted: the flag is the model checker's alone", cmd)
+		}
 	}
 }
 

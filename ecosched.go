@@ -138,10 +138,16 @@ type (
 
 // Metascheduler.
 type (
-	// Scheduler is the VO-level iterative metascheduler.
+	// Scheduler is the VO-level iterative metascheduler's state; a Service
+	// drives it.
 	Scheduler = metasched.Scheduler
 	// SchedulerConfig parameterizes the metascheduler.
 	SchedulerConfig = metasched.Config
+	// Service is the continuous-service metascheduler: events enqueue
+	// evaluations and each Tick runs one plan/apply round.
+	Service = metasched.Service
+	// ServiceConfig parameterizes the service wrapper.
+	ServiceConfig = metasched.ServiceConfig
 	// IterationReport summarizes one scheduling iteration.
 	IterationReport = metasched.IterationReport
 	// DemandPricing scales published prices by grid utilization.
@@ -178,6 +184,8 @@ var (
 	NewGrid = gridsim.New
 	// NewScheduler builds a metascheduler over a grid.
 	NewScheduler = metasched.New
+	// NewService wraps a scheduler as the continuous service that drives it.
+	NewService = metasched.NewService
 	// FindAlternatives runs the multi-pass alternative search.
 	FindAlternatives = alloc.FindAlternatives
 	// FindAlternativesFair is the batch-at-once search variant: each

@@ -104,12 +104,16 @@ func TestGridToSchedulerFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := ecosched.NewService(sched, ecosched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range buildBatch(t).Jobs() {
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reports, err := sched.RunUntilDrained(5)
+	reports, err := svc.RunUntilDrained(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +269,16 @@ func TestTraceAndDemandPricingThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := ecosched.NewService(sched, ecosched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range buildBatch(t).Jobs() {
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := sched.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,14 +186,8 @@ func (ds *Service) HandleRevocation(nodeLabel string, span sim.Interval) ([]stri
 // tick; the round is deterministic, so the re-run lands on the same state
 // the record would have described.
 func (ds *Service) Tick() (*metasched.IterationReport, error) {
-	ds.svc.EnqueueTick()
-	return ds.round(true)
-}
-
-// round drives one BeginRound → Evaluate → Apply → Finish sequence and
-// journals the outcome.
-func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	now := ds.svc.Scheduler().Grid().Now()
+	ds.svc.EnqueueTick()
 	r, err := ds.svc.BeginRound()
 	if err != nil {
 		return nil, err
@@ -212,7 +206,7 @@ func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	}
 	rr := &codec.RoundRecord{
 		Iteration: rep.Iteration,
-		Tick:      tick,
+		Tick:      true,
 		Stale:     stale,
 	}
 	if plan != nil {

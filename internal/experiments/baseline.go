@@ -114,8 +114,12 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		svc, err := metasched.NewService(ms, metasched.ServiceConfig{})
+		if err != nil {
+			return nil, nil, err
+		}
 		for i, q := range queue {
-			err := ms.Submit(&job.Job{
+			err := svc.Submit(&job.Job{
 				Name:     fmt.Sprintf("job%d", i+1),
 				Priority: i + 1,
 				Request: job.ResourceRequest{
@@ -126,7 +130,7 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 				return nil, nil, err
 			}
 		}
-		reports, err := ms.RunUntilDrained(cfg.Jobs)
+		reports, err := svc.RunUntilDrained(cfg.Jobs)
 		if err != nil {
 			return nil, nil, err
 		}

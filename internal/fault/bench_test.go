@@ -23,16 +23,16 @@ func BenchmarkFaultRate(b *testing.B) {
 			placed := 0
 			for i := 0; i < b.N; i++ {
 				seed := uint64(i%50 + 1)
-				sched := chaosScheduler(b, seed, alloc.ALP{}, metasched.MinimizeTime)
-				plan := chaosPlan(b, sched.Grid().Pool(), seed, rate)
-				sess, err := fault.NewSession(sched, plan, io.Discard)
+				svc := chaosService(b, seed, alloc.ALP{}, metasched.MinimizeTime)
+				plan := chaosPlan(b, svc.Scheduler().Grid().Pool(), seed, rate)
+				sess, err := fault.NewSession(svc, plan, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if err := sess.Run(chaosIterations); err != nil {
 					b.Fatal(err)
 				}
-				placed += sched.PlacedCount()
+				placed += svc.Scheduler().PlacedCount()
 			}
 			b.ReportMetric(float64(placed)/float64(b.N), "placed/op")
 		})

@@ -21,13 +21,13 @@ const (
 	chaosStep       = sim.Duration(150)
 )
 
-// chaosScheduler builds the soak's seeded scenario: a 12-node grid with
-// owner-local load, a retry policy with backoff, degradation ladder and
-// deadline, and 8 submitted jobs — the same scenario family as the
-// metasched differential suite, plus the retry policy. internal/metasched's
-// TestChaosSoakOracles repeats this scenario to run it on the oracle engines;
-// keep the two in step.
-func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy) *metasched.Scheduler {
+// chaosService builds the soak's seeded scenario as the service a session
+// drives: a 12-node grid with owner-local load, a retry policy with backoff,
+// degradation ladder and deadline, and 8 submitted jobs — the same scenario
+// family as the metasched differential suite, plus the retry policy.
+// internal/metasched's TestChaosSoakOracles repeats this scenario to run it
+// on the oracle engines; keep the two in step.
+func chaosService(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy) *metasched.Service {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -75,6 +75,10 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		j := &job.Job{
 			Name:     fmt.Sprintf("job%d", i+1),
@@ -86,11 +90,11 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sched
+	return svc
 }
 
 // chaosPlan compiles the seed's fault schedule: crashes with recovery,
@@ -115,10 +119,10 @@ func chaosPlan(t testing.TB, pool *resource.Pool, seed uint64, rate float64) *fa
 // transcript, failing the test on any scheduler error or audit violation.
 func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy) string {
 	t.Helper()
-	sched := chaosScheduler(t, seed, algo, policy)
-	plan := chaosPlan(t, sched.Grid().Pool(), seed, 0.6)
+	svc := chaosService(t, seed, algo, policy)
+	plan := chaosPlan(t, svc.Scheduler().Grid().Pool(), seed, 0.6)
 	var b strings.Builder
-	sess, err := fault.NewSession(sched, plan, &b)
+	sess, err := fault.NewSession(svc, plan, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestChaosSoak(t *testing.T) {
 
 // TestEmptyPlanNeutrality proves the fault layer is neutral when idle: a
 // session with a nil plan, a session with a parsed empty plan, and a bare
-// scheduler loop that never constructs a Session or Audit at all must
+// service tick loop that never constructs a Session or Audit at all must
 // produce byte-identical transcripts.
 func TestEmptyPlanNeutrality(t *testing.T) {
 	empty, err := fault.ParsePlan("")
@@ -170,22 +174,22 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, algo := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
-			// Baseline: plain scheduler loop, no fault layer.
-			sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime)
+			// Baseline: plain service tick loop, no fault layer.
+			svc := chaosService(t, seed, algo, metasched.MinimizeTime)
 			var base strings.Builder
 			for i := 0; i < chaosIterations; i++ {
-				rep, err := sched.RunIteration()
+				rep, err := svc.Tick()
 				if err != nil {
 					t.Fatal(err)
 				}
 				fault.WriteIterationReport(&base, rep)
 			}
-			fault.WriteSummary(&base, sched, 0, 0)
+			fault.WriteSummary(&base, svc.Scheduler(), 0, 0)
 
 			for _, plan := range []*fault.Plan{nil, empty} {
-				sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime)
+				svc := chaosService(t, seed, algo, metasched.MinimizeTime)
 				var b strings.Builder
-				sess, err := fault.NewSession(sched, plan, &b)
+				sess, err := fault.NewSession(svc, plan, &b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,16 +205,19 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsUnknownNodes checks plan/pool validation at session
-// construction.
+// TestSessionRejectsUnknownNodes checks session construction: the plan is
+// validated against the pool, and a nil driver is rejected.
 func TestSessionRejectsUnknownNodes(t *testing.T) {
-	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime)
+	svc := chaosService(t, 1, alloc.ALP{}, metasched.MinimizeTime)
 	plan, err := fault.ParsePlan("fail@100:ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fault.NewSession(sched, plan, nil); err == nil {
+	if _, err := fault.NewSession(svc, plan, nil); err == nil {
 		t.Fatal("session accepted a plan targeting a node outside the pool")
+	}
+	if _, err := fault.NewSession(nil, nil, nil); err == nil {
+		t.Fatal("session accepted a nil service driver")
 	}
 }
 

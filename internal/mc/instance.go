@@ -454,7 +454,7 @@ func (in *Instance) Drain(maxIter int) error {
 			rep, err = in.svc.Tick()
 			in.tickQueued = false
 		} else {
-			rep, err = in.sched.RunIteration()
+			rep, err = in.iterate()
 		}
 		if err != nil {
 			return err
@@ -471,6 +471,22 @@ func (in *Instance) Drain(maxIter int) error {
 			n, maxIter)
 	}
 	return nil
+}
+
+// iterate runs one whole batch-universe iteration through the step API —
+// plan immediately followed by commit, nothing interleaved.
+func (in *Instance) iterate() (*metasched.IterationReport, error) {
+	it, err := in.sched.BeginIteration()
+	if err != nil {
+		return nil, err
+	}
+	if err := it.Plan(); err != nil {
+		return nil, err
+	}
+	if err := it.Apply(); err != nil {
+		return nil, err
+	}
+	return it.Finish()
 }
 
 // Replay builds a fresh instance and applies the whole trace, failing on

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ecosched/internal/fault"
+	"ecosched/internal/metasched"
 )
 
 // SessionCompatible reports whether the trace has the shape fault.Session
@@ -68,8 +69,10 @@ func SessionTranscripts(u *Universe, trace []Action) (mcT, sessT string, err err
 	applied := len(in.Events())
 	fault.WriteSummary(&mcB, in.Scheduler(), applied, applied)
 
-	// Session side: fresh scheduler, all jobs submitted up front, the
-	// recorded events as the fault plan, one Run call per commit.
+	// Session side: a fresh scheduler wrapped in the service the session
+	// drives, all jobs submitted up front, the recorded events as the fault
+	// plan, one round per commit. The explorer's plan/commit pair is exactly
+	// the step sequence a round wraps, so the transcripts must agree.
 	iterations := 0
 	for _, a := range trace {
 		if a.Kind == ActCommit {
@@ -84,15 +87,19 @@ func SessionTranscripts(u *Universe, trace []Action) (mcT, sessT string, err err
 	if err != nil {
 		return "", "", err
 	}
+	svc, err := metasched.NewService(fresh.sched, metasched.ServiceConfig{})
+	if err != nil {
+		return "", "", err
+	}
 	for _, a := range trace {
 		if a.Kind == ActSubmit {
-			if err := fresh.sched.Submit(u.buildJob(a.Arg)); err != nil {
+			if err := svc.Submit(u.buildJob(a.Arg)); err != nil {
 				return "", "", err
 			}
 		}
 	}
 	var sessB strings.Builder
-	sess, err := fault.NewSession(fresh.sched, plan, &sessB)
+	sess, err := fault.NewSession(svc, plan, &sessB)
 	if err != nil {
 		return "", "", err
 	}

@@ -53,12 +53,14 @@ type Universe struct {
 	// interleavings that cross shard boundaries.
 	Shards int
 	// Service drives the universe through the continuous-service event loop
-	// instead of batch iterations: the action alphabet swaps plan/commit
-	// for enqueue/evaluate/apply, so the sweep exhaustively interleaves
-	// environment events with the eval queue, the snapshot-bound planner,
-	// and the re-validating serial applier. A round is the same step
-	// sequence as a batch iteration, so a service universe reaches the same
-	// schedules while additionally exploring the eval-queue state.
+	// instead of the bare step API (a "batch universe"): the action alphabet
+	// swaps plan/commit for enqueue/evaluate/apply, so the sweep
+	// exhaustively interleaves environment events with the eval queue, the
+	// snapshot-bound planner, and the re-validating serial applier. A round
+	// is the same step sequence as a plan/commit pair, so a service universe
+	// reaches the same schedules while additionally exploring the eval-queue
+	// state — which is why it truncates where a batch universe exhausts at
+	// the same bounds, and why both alphabets stay.
 	Service bool
 }
 

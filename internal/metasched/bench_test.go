@@ -13,13 +13,13 @@ import (
 	"ecosched/internal/sim"
 )
 
-// benchStoreSession plays one complete seeded session on a grid large enough
-// that the published vacant-slot list holds on the order of 100k slots: 1000
-// nodes, each carrying ~100 short local bookings inside the 6000-tick
-// horizon, so every node contributes ~100 vacant fragments. It returns the
-// size of the vacant list at the final horizon so the benchmark can report
-// the scale it actually ran at.
-func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *metrics.Registry) int {
+// benchStoreSession plays one complete seeded service session on a grid large
+// enough that the published vacant-slot list holds on the order of 100k
+// slots: 1000 nodes, each carrying ~100 short local bookings inside the
+// 6000-tick horizon, so every node contributes ~100 vacant fragments. It
+// returns the size of the vacant list at the final horizon so the benchmark
+// can report the scale it actually ran at.
+func benchStoreSession(b *testing.B, seed uint64, rebuild bool, reg *metrics.Registry) int {
 	b.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -58,12 +58,9 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 	if err != nil {
 		b.Fatal(err)
 	}
-	var svc *metasched.Service
-	if service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		j := &job.Job{
@@ -76,24 +73,12 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if svc != nil {
-			err = svc.Submit(j)
-		} else {
-			err = sched.Submit(j)
-		}
-		if err != nil {
+		if err := svc.Submit(j); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for it := 0; it < 3 && sched.QueueLength() > 0; it++ {
-		if svc != nil {
-			_, err = svc.Tick()
-		} else {
-			_, err = sched.RunIteration()
-		}
-		if err != nil {
-			b.Fatalf("seed %d iteration %d: %v", seed, it, err)
-		}
+	if _, err := svc.RunUntilDrained(3); err != nil {
+		b.Fatalf("seed %d: %v", seed, err)
 	}
 	vacant, err := grid.VacantSlots(grid.Now() + sim.Time(cfg.Horizon))
 	if err != nil {
@@ -110,7 +95,9 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 // contract at scale — the store is built exactly once per session
 // (gridsim/store/rebuilds_total), the search adopts the store's index
 // instead of rebuilding (alloc/AMP/index/rebuilds_total stays 0), and the
-// self-healing reset never fires. CI publishes the results as the
+// self-healing reset never fires — and the service contract: every round
+// consumed its due evaluations (the queue ends empty) and no plan was
+// rejected on the undisturbed run. CI publishes the results as the
 // BENCH_livestore.json artifact.
 func BenchmarkLiveStoreSession(b *testing.B) {
 	for _, mode := range []struct {
@@ -124,7 +111,7 @@ func BenchmarkLiveStoreSession(b *testing.B) {
 			slots := 0
 			for i := 0; i < b.N; i++ {
 				reg := metrics.New()
-				slots = benchStoreSession(b, uint64(i%10+1), mode.rebuild, false, reg)
+				slots = benchStoreSession(b, uint64(i%10+1), mode.rebuild, reg)
 				if mode.rebuild {
 					continue
 				}
@@ -138,40 +125,6 @@ func BenchmarkLiveStoreSession(b *testing.B) {
 				if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
 					b.Fatalf("alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", n)
 				}
-			}
-			b.ReportMetric(float64(slots), "slots/op")
-		})
-	}
-}
-
-// BenchmarkServiceSession is BenchmarkLiveStoreSession's service-mode twin:
-// the identical 1000-node / ~100k-slot session driven through the
-// continuous-service event loop (Submit and Tick enqueue evaluations; each
-// round plans against the epoch-stamped snapshot and applies serially)
-// instead of batch RunIteration. The overhead of the eval queue and the
-// Plan bookkeeping is the difference between the two benchmarks; the
-// schedules themselves are byte-identical. The service sub-benchmark also
-// enforces the event-loop contract at scale — every round consumed its due
-// evaluations (the queue ends empty) and no plan was rejected on the
-// undisturbed run. CI publishes the results as the BENCH_service.json
-// artifact.
-func BenchmarkServiceSession(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		service bool
-	}{
-		{"service", true},
-		{"batch", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			slots := 0
-			for i := 0; i < b.N; i++ {
-				reg := metrics.New()
-				slots = benchStoreSession(b, uint64(i%10+1), false, mode.service, reg)
-				if !mode.service {
-					continue
-				}
-				snap := reg.Snapshot()
 				if n := snap.Counter("metasched/service/rounds_total"); n == 0 {
 					b.Fatal("metasched/service/rounds_total = 0: the service loop never ran")
 				}

@@ -71,6 +71,10 @@ func chaosOracleTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 			JobDeadline:      1400,
 		},
 	}, grid, o)
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8; i++ {
 		j := &job.Job{
 			Name:     fmt.Sprintf("job%d", i+1),
@@ -82,7 +86,7 @@ func chaosOracleTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +102,7 @@ func chaosOracleTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	sess, err := fault.NewSession(sched, plan, &b)
+	sess, err := fault.NewSession(svc, plan, &b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,11 +78,12 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 }
 
 // sessionTranscript is the shared body of diffSessionTranscript and the
-// service differential: the same seeded scenario driven either through batch
-// RunIteration calls or — with service set — through a metasched.Service
-// (Submit, Tick and HandleNodeFailure routed via the event loop). The
-// determinism contract of the continuous service is exactly that the two
-// render byte-identical transcripts.
+// service differential: the same seeded scenario driven either through the
+// bare step sequence (RunSteps, no service around the scheduler) or — with
+// service set — through a metasched.Service (Submit, Tick and
+// HandleNodeFailure routed via the event loop). The determinism contract of
+// the continuous service is exactly that the two render byte-identical
+// transcripts.
 func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, o oracles, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
@@ -145,7 +146,7 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 		if svc != nil {
 			return svc.Tick()
 		}
-		return sched.RunIteration()
+		return metasched.RunSteps(sched)
 	}
 	failNode := func(label string) ([]string, error) {
 		if svc != nil {

@@ -144,16 +144,5 @@ func (q *evalQueue) popDue(now sim.Time) *Eval {
 	return nil
 }
 
-// dueCount returns how many pending evaluations are eligible at now.
-func (q *evalQueue) dueCount(now sim.Time) int {
-	n := 0
-	for _, e := range q.pending {
-		if e.NotBefore <= now {
-			n++
-		}
-	}
-	return n
-}
-
 // len returns the number of pending evaluations.
 func (q *evalQueue) len() int { return len(q.pending) }

@@ -24,3 +24,21 @@ func UseDenseDP(s *Scheduler) {
 		}
 	}
 }
+
+// RunSteps runs one iteration as the bare step sequence BeginIteration →
+// Plan → Apply → Finish with nothing interleaved and no service around it.
+// It is the reference the service-vs-steps differential holds Service.Tick
+// to, and the driver of tests that exercise the scheduler alone.
+func RunSteps(s *Scheduler) (*IterationReport, error) {
+	it, err := s.BeginIteration()
+	if err != nil {
+		return nil, err
+	}
+	if err := it.Plan(); err != nil {
+		return nil, err
+	}
+	if err := it.Apply(); err != nil {
+		return nil, err
+	}
+	return it.Finish()
+}

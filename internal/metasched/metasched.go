@@ -3,6 +3,10 @@
 // two-phase scheduling scheme iteratively against periodically updated local
 // schedules, commits chosen windows as reservations, and postpones jobs that
 // could not be co-allocated to the next iteration.
+//
+// Scheduler holds the state, the event handlers and the step API
+// (BeginIteration → Plan → Apply → Finish); Service is the one surface that
+// drives it, one evaluation round per iteration.
 package metasched
 
 import (
@@ -231,7 +235,8 @@ type IterationReport struct {
 	PriceFactor float64
 }
 
-// Scheduler is the metascheduler instance bound to a grid.
+// Scheduler is the metascheduler instance bound to a grid. It does not run
+// itself: a Service drives its iterations through the step API.
 type Scheduler struct {
 	cfg   Config
 	grid  *gridsim.Grid
@@ -357,26 +362,6 @@ func (s *Scheduler) batchForIteration() []*queued {
 	return picked
 }
 
-// RunIteration performs one scheduling iteration: publish local schedules,
-// search alternatives, optimize the combination, commit reservations, and
-// advance the clock by Step. It returns the iteration report; an empty queue
-// still advances time. It is exactly the step sequence BeginIteration →
-// Plan → Apply → Finish with nothing interleaved; drivers that inject
-// environment dynamics mid-iteration use the steps directly (see Iteration).
-func (s *Scheduler) RunIteration() (*IterationReport, error) {
-	it, err := s.BeginIteration()
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Plan(); err != nil {
-		return nil, err
-	}
-	if err := it.Apply(); err != nil {
-		return nil, err
-	}
-	return it.Finish()
-}
-
 // findQueued returns the queue entry for name, or nil when no such job is
 // queued. Callers placing a job must treat nil as an internal invariant
 // violation: a silently fabricated entry would measure WaitTime from tick 0.
@@ -426,20 +411,6 @@ func budgetGrid(budget sim.Money, states int) sim.Money {
 		grid = sim.Money(g)
 	}
 	return grid
-}
-
-// RunUntilDrained runs iterations until the queue empties or maxIterations
-// is hit, returning all reports.
-func (s *Scheduler) RunUntilDrained(maxIterations int) ([]*IterationReport, error) {
-	var reports []*IterationReport
-	for i := 0; i < maxIterations && len(s.queue) > 0; i++ {
-		rep, err := s.RunIteration()
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
 }
 
 // HandleNodeFailure reacts to a node failure (the environment dynamics the

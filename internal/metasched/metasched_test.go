@@ -22,6 +22,21 @@ func validConfig() metasched.Config {
 	}
 }
 
+// newService builds a scheduler over grid and wraps it in the service that
+// drives it.
+func newService(t *testing.T, cfg metasched.Config, grid *gridsim.Grid) (*metasched.Scheduler, *metasched.Service) {
+	t.Helper()
+	s, err := metasched.New(cfg, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := metasched.NewService(s, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, svc
+}
+
 func section4Grid(t *testing.T) (*gridsim.Grid, *job.Batch) {
 	t.Helper()
 	grid, batch, err := experiments.Section4Environment()
@@ -93,15 +108,15 @@ func TestSubmit(t *testing.T) {
 	}
 }
 
-func TestRunIterationSchedulesSection4Batch(t *testing.T) {
+func TestTickSchedulesSection4Batch(t *testing.T) {
 	grid, batch := section4Grid(t)
-	s, _ := metasched.New(validConfig(), grid)
+	s, svc := newService(t, validConfig(), grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +152,21 @@ func TestIterationPostponesUnservableJob(t *testing.T) {
 	grid, _ := section4Grid(t)
 	cfg := validConfig()
 	cfg.MaxPostponements = 2
-	s, _ := metasched.New(cfg, grid)
+	s, svc := newService(t, cfg, grid)
 	// 6 nodes exist but the job wants 7 → never servable.
 	impossible := &job.Job{Name: "huge", Priority: 1, Request: job.ResourceRequest{
 		Nodes: 7, Time: 50, MinPerformance: 1, MaxPrice: 100}}
-	if err := s.Submit(impossible); err != nil {
+	if err := svc.Submit(impossible); err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := s.RunIteration()
+	rep1, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep1.Postponed) != 1 || len(rep1.Placed) != 0 {
 		t.Fatalf("first iteration: placed=%d postponed=%v", len(rep1.Placed), rep1.Postponed)
 	}
-	rep2, err := s.RunIteration()
+	rep2, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +182,13 @@ func TestRunUntilDrained(t *testing.T) {
 	grid, batch := section4Grid(t)
 	cfg := validConfig()
 	cfg.MaxBatch = 1 // one job per iteration
-	s, _ := metasched.New(cfg, grid)
+	s, svc := newService(t, cfg, grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reports, err := s.RunUntilDrained(10)
+	reports, err := svc.RunUntilDrained(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +212,8 @@ func TestRunUntilDrained(t *testing.T) {
 
 func TestEmptyQueueIterationAdvancesClock(t *testing.T) {
 	grid, _ := section4Grid(t)
-	s, _ := metasched.New(validConfig(), grid)
-	rep, err := s.RunIteration()
+	_, svc := newService(t, validConfig(), grid)
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +230,13 @@ func TestCostPolicyAlsoSchedules(t *testing.T) {
 	cfg := validConfig()
 	cfg.Policy = metasched.MinimizeCost
 	cfg.Algorithm = alloc.ALP{}
-	s, _ := metasched.New(cfg, grid)
+	_, svc := newService(t, cfg, grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +261,13 @@ func TestWaitTimeAccounting(t *testing.T) {
 	if err := grid.BookLocal("p1", "cpu1", 0, 200); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := metasched.New(validConfig(), grid)
+	_, svc := newService(t, validConfig(), grid)
 	j := &job.Job{Name: "waiter", Priority: 1, Request: job.ResourceRequest{
 		Nodes: 1, Time: 50, MinPerformance: 1, MaxPrice: 10}}
-	if err := s.Submit(j); err != nil {
+	if err := svc.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +293,12 @@ func TestDemandPricingRaisesCostUnderLoad(t *testing.T) {
 		}
 		cfg := validConfig()
 		cfg.DemandPricing = pricing
-		s, _ := metasched.New(cfg, grid)
+		_, svc := newService(t, cfg, grid)
 		// Only the first job, to keep the comparison clean.
-		if err := s.Submit(batch.At(0)); err != nil {
+		if err := svc.Submit(batch.At(0)); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,13 +340,13 @@ func TestTraceRecordsSession(t *testing.T) {
 	cfg := validConfig()
 	cfg.Trace = rec
 	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.9, MaxFactor: 1.2}
-	s, _ := metasched.New(cfg, grid)
+	_, svc := newService(t, cfg, grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.RunIteration(); err != nil {
+	if _, err := svc.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() == 0 {
@@ -360,13 +375,13 @@ func TestTraceRecordsSession(t *testing.T) {
 
 func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 	grid, batch := section4Grid(t)
-	s, _ := metasched.New(validConfig(), grid)
+	s, svc := newService(t, validConfig(), grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +398,7 @@ func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 	if len(affected) == 0 {
 		t.Fatal("setup: no job on cpu4")
 	}
-	requeued, err := s.HandleNodeFailure("cpu4")
+	requeued, err := svc.HandleNodeFailure("cpu4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +420,7 @@ func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 		}
 	}
 	// The next iterations re-place the jobs on surviving nodes.
-	reports, err := s.RunUntilDrained(6)
+	reports, err := svc.RunUntilDrained(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +436,7 @@ func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 	if replaced != len(affected) {
 		t.Errorf("re-placed %d of %d jobs", replaced, len(affected))
 	}
-	if _, err := s.HandleNodeFailure("nope"); err == nil {
+	if _, err := svc.HandleNodeFailure("nope"); err == nil {
 		t.Error("unknown node accepted")
 	}
 }
@@ -440,14 +455,11 @@ func TestLocalArrivalsKeepResourcesNonDedicated(t *testing.T) {
 		Load: gridsim.LocalLoad{MeanGap: 50, DurMin: 20, DurMax: 60},
 		RNG:  sim.NewRNG(3),
 	}
-	s, err := metasched.New(cfg, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := newService(t, cfg, grid)
 	// Several empty iterations: local tasks must keep appearing in the
 	// sliding horizon.
 	for i := 0; i < 4; i++ {
-		if _, err := s.RunIteration(); err != nil {
+		if _, err := svc.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -490,25 +502,25 @@ func TestLocalArrivalsValidation(t *testing.T) {
 // rejected just like a queued duplicate.
 func TestSubmitRejectsPlacedJob(t *testing.T) {
 	grid, batch := section4Grid(t)
-	s, _ := metasched.New(validConfig(), grid)
+	_, svc := newService(t, validConfig(), grid)
 	for _, j := range batch.Jobs() {
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Placed) != 3 {
 		t.Fatalf("placed %d jobs, want 3", len(rep.Placed))
 	}
-	if err := s.Submit(batch.At(0)); err == nil {
+	if err := svc.Submit(batch.At(0)); err == nil {
 		t.Fatal("re-submitting a placed job was accepted; its reservations would alias the old job's")
 	}
 	fresh := *batch.At(0)
 	fresh.Name = "fresh"
-	if err := s.Submit(&fresh); err != nil {
+	if err := svc.Submit(&fresh); err != nil {
 		t.Fatalf("a genuinely new job was rejected: %v", err)
 	}
 }
@@ -520,30 +532,27 @@ func TestSubmitRejectsPlacedJob(t *testing.T) {
 // postponed. The exact DP (states=0) schedules the same batch outright.
 func TestMaxBudgetStatesLimitsDPStates(t *testing.T) {
 	exactGrid, batch := section4Grid(t)
-	exact, _ := metasched.New(validConfig(), exactGrid)
+	_, exactSvc := newService(t, validConfig(), exactGrid)
 	coarseGrid, _ := section4Grid(t)
 	cfg := validConfig()
 	cfg.MaxBudgetStates = 1
-	coarse, err := metasched.New(cfg, coarseGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, coarseSvc := newService(t, cfg, coarseGrid)
 	for _, j := range batch.Jobs() {
-		if err := exact.Submit(j); err != nil {
+		if err := exactSvc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if err := coarse.Submit(j); err != nil {
+		if err := coarseSvc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	exactRep, err := exact.RunIteration()
+	exactRep, err := exactSvc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(exactRep.Placed) != 3 {
 		t.Fatalf("exact DP placed %d jobs, want 3", len(exactRep.Placed))
 	}
-	coarseRep, err := coarse.RunIteration()
+	coarseRep, err := coarseSvc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -423,18 +423,22 @@ func TestRetrySessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := NewService(s, ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		j := &job.Job{Name: fmt.Sprintf("job%d", i), Priority: i, Request: job.ResourceRequest{
 			Nodes: 1, Time: sim.Duration(rng.IntBetween(40, 80)), MinPerformance: 1,
 			MaxPrice: pricing.BasePrice(1.5) * 2,
 		}}
-		if err := s.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
 	placedEver := map[string]bool{}
 	for it := 0; it < 12; it++ {
-		rep, err := s.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,18 +446,18 @@ func TestRetrySessionEndToEnd(t *testing.T) {
 			placedEver[p.Job.Name] = true
 		}
 		if it == 1 {
-			if _, err := s.HandleNodeFailure("n0"); err != nil {
+			if _, err := svc.HandleNodeFailure("n0"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.HandleNodeFailure("n1"); err != nil {
+			if _, err := svc.HandleNodeFailure("n1"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if it == 4 {
-			if err := s.HandleNodeRecovery("n0"); err != nil {
+			if err := svc.HandleNodeRecovery("n0"); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.HandleNodeRecovery("n1"); err != nil {
+			if err := svc.HandleNodeRecovery("n1"); err != nil {
 				t.Fatal(err)
 			}
 		}

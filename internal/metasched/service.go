@@ -22,14 +22,15 @@ type ServiceConfig struct{}
 // requeue-with-backoff path that reuses the retry policy's deterministic
 // backoff.
 //
-// The service is deterministic by construction: a round is exactly the
-// scheduler's BeginIteration → Plan → Apply → Finish step sequence, with the
-// evaluation queue consumed at the round boundary and never influencing a
-// scheduling decision (planning always reads the full current state). With
-// a fixed seed and event order, driving the service tick by tick therefore
-// produces byte-identical session transcripts to batch RunIteration — the
-// 20-seed service differential pins this across store modes and shard
-// counts.
+// The service is the scheduler's only driving surface, and it is
+// deterministic by construction: a round is exactly the scheduler's
+// BeginIteration → Plan → Apply → Finish step sequence, with the evaluation
+// queue consumed at the round boundary and never influencing a scheduling
+// decision (planning always reads the full current state). With a fixed seed
+// and event order, driving the service tick by tick therefore produces
+// byte-identical session transcripts to driving the bare step sequence — the
+// 20-seed service-vs-steps differential pins this across store modes and
+// shard counts.
 type Service struct {
 	s *Scheduler
 	q evalQueue
@@ -214,8 +215,7 @@ func (r *Round) Finish() (*IterationReport, error) {
 }
 
 // Tick runs one full service round: enqueue the periodic tick evaluation,
-// consume the due evaluations, plan, apply, advance. It is the service-mode
-// counterpart of RunIteration and produces the identical report.
+// consume the due evaluations, plan, apply, advance.
 func (sv *Service) Tick() (*IterationReport, error) {
 	sv.EnqueueTick()
 	r, err := sv.BeginRound()
@@ -231,12 +231,26 @@ func (sv *Service) Tick() (*IterationReport, error) {
 	return r.Finish()
 }
 
+// RunUntilDrained runs Tick rounds until the scheduler's job queue empties
+// or maxRounds is hit, returning every round's report.
+func (sv *Service) RunUntilDrained(maxRounds int) ([]*IterationReport, error) {
+	var reports []*IterationReport
+	for i := 0; i < maxRounds && sv.s.QueueLength() > 0; i++ {
+		rep, err := sv.Tick()
+		if err != nil {
+			return reports, err
+		}
+		reports = append(reports, rep)
+	}
+	return reports, nil
+}
+
 // CanonicalState appends the service's own state — the pending evaluation
 // queue in dequeue order and the per-job requeue attempts — to b. Evaluation
 // IDs are omitted: like the grid epoch they are history counters, and two
 // services whose pending sets agree in order and content behave identically.
 // The open round's iteration state is serialized separately by the driver
-// (it is reachable via the round), exactly as for batch iterations.
+// (it is reachable via the round).
 func (sv *Service) CanonicalState(b *strings.Builder) {
 	for _, e := range sv.q.pending {
 		fmt.Fprintf(b, "eval %s subject=%q prio=%d created=%d notBefore=%d attempt=%d\n",

@@ -8,17 +8,19 @@ import (
 	"ecosched/internal/metrics"
 )
 
-// TestServiceBatchDifferential is the determinism contract of the
+// TestServiceStepsDifferential is the determinism contract of the
 // continuous-service metascheduler: over 20 seeded scenarios — demand
 // pricing, local arrivals and a mid-session node failure mixed in by the
 // seed schedule — driving the session through metasched.Service (events
 // enqueue evaluations, each step is an evaluation round) produces a
-// byte-identical transcript to batch RunIteration, across {ALP, AMP} ×
-// {live store, rebuild oracle} × {K=1, K=4 with sequential producers, K=4
-// with parallel producers}.
+// byte-identical transcript to the bare BeginIteration → Plan → Apply →
+// Finish step sequence with no service around the scheduler (RunSteps),
+// across {ALP, AMP} × {live store, rebuild oracle} × {K=1, K=4 with
+// sequential producers, K=4 with parallel producers}. It pins that the
+// evaluation queue never changes a scheduling decision.
 // The policy alternates with seed parity so both batch criteria are covered
 // without doubling the sweep.
-func TestServiceBatchDifferential(t *testing.T) {
+func TestServiceStepsDifferential(t *testing.T) {
 	algos := []struct {
 		name string
 		algo alloc.Algorithm
@@ -35,11 +37,11 @@ func TestServiceBatchDifferential(t *testing.T) {
 			for _, rebuild := range []bool{false, true} {
 				for _, fed := range []struct{ shards, parallelism int }{{1, 1}, {4, 1}, {4, 4}} {
 					opt := withShards(fed.shards, fed.parallelism)
-					batch := sessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, false, opt)
+					steps := sessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, false, opt)
 					service := sessionTranscript(t, seed, a.algo, policy, oracles{rebuild: rebuild}, nil, true, opt)
-					if service != batch {
-						t.Fatalf("seed %d %s %v p=%d rebuild=%t shards=%d: service transcript diverged from batch\n--- batch ---\n%s\n--- service ---\n%s",
-							seed, a.name, policy, fed.parallelism, rebuild, fed.shards, batch, service)
+					if service != steps {
+						t.Fatalf("seed %d %s %v p=%d rebuild=%t shards=%d: service transcript diverged from the step sequence\n--- steps ---\n%s\n--- service ---\n%s",
+							seed, a.name, policy, fed.parallelism, rebuild, fed.shards, steps, service)
 					}
 				}
 			}

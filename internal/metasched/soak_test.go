@@ -13,7 +13,7 @@ import (
 	"ecosched/internal/trace"
 )
 
-// TestSoakSession runs a long metascheduler session with every dynamic
+// TestSoakSession runs a long metascheduler service session with every dynamic
 // feature enabled at once — sliding local arrivals, demand pricing, decision
 // tracing, a mid-session node failure and a later repair, and job waves —
 // and checks the global invariants after every iteration:
@@ -57,12 +57,16 @@ func TestSoakSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	submitted := map[string]bool{}
 	submit := func(wave, count int) {
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("w%d-j%d", wave, i)
-			err := sched.Submit(&job.Job{
+			err := svc.Submit(&job.Job{
 				Name:     name,
 				Priority: wave*100 + i,
 				Request: job.ResourceRequest{
@@ -124,7 +128,7 @@ func TestSoakSession(t *testing.T) {
 		case 5:
 			// Fail a node and account for the re-queued jobs.
 			victim := "n3"
-			requeued, err := sched.HandleNodeFailure(victim)
+			requeued, err := svc.HandleNodeFailure(victim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +147,7 @@ func TestSoakSession(t *testing.T) {
 		case 9:
 			submit(3, 3)
 		}
-		rep, err := sched.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,17 +20,17 @@ import (
 //	_ = it.Apply()              // commit the plan, requeue the rest
 //	rep, _ := it.Finish()       // advance the clock, report
 //
-// RunIteration is exactly this sequence with nothing in between. The split
-// exists for drivers that interleave environment dynamics *inside* an
-// iteration — the model checker injects node failures, revocations and
-// retry ticks between Plan and Apply to enumerate every schedule/commit
-// race. Because the environment may invalidate a chosen window after Plan,
-// Apply treats the plan as optimistic: each window is re-validated by the
-// grid's commit, and a window that no longer fits (node failed, interval
-// reclaimed, start overtaken by the clock) postpones its job instead of
-// failing the iteration — commit rejection is a scheduling outcome, not an
-// error. On an undisturbed run no window can go stale, so the step path is
-// byte-identical to the historical monolithic iteration.
+// A service round (Round) wraps exactly this sequence. The split exists for
+// drivers that interleave environment dynamics *inside* an iteration — the
+// model checker injects node failures, revocations and retry ticks between
+// Plan and Apply to enumerate every schedule/commit race, and journal replay
+// substitutes InstallPlan for Plan. Because the environment may invalidate a
+// chosen window after Plan, Apply treats the plan as optimistic: each window
+// is re-validated by the grid's commit, and a window that no longer fits
+// (node failed, interval reclaimed, start overtaken by the clock) postpones
+// its job instead of failing the iteration — commit rejection is a
+// scheduling outcome, not an error. On an undisturbed run no window can go
+// stale.
 type Iteration struct {
 	s   *Scheduler
 	rep *IterationReport

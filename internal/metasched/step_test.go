@@ -60,36 +60,30 @@ func conserved(t *testing.T, s *metasched.Scheduler) {
 	}
 }
 
-// TestStepSequenceMatchesRunIteration proves the step API is the monolithic
-// iteration: two identical sessions, one driven by RunIteration and one by
-// Begin/Plan/Apply/Finish with nothing interleaved, produce identical
-// reports and identical canonical states.
-func TestStepSequenceMatchesRunIteration(t *testing.T) {
-	run := func(steps bool) (string, *metasched.IterationReport) {
+// TestStepSequenceMatchesTick proves a service round is the bare step
+// sequence: two identical sessions, one driven by Service.Tick and one by
+// Begin/Plan/Apply/Finish with nothing interleaved and no service around the
+// scheduler, produce identical reports and identical grid and scheduler
+// canonical states.
+func TestStepSequenceMatchesTick(t *testing.T) {
+	run := func(viaService bool) (string, *metasched.IterationReport) {
 		grid, _ := stepGrid(t)
 		s := stepScheduler(t, grid)
+		svc, err := metasched.NewService(s, metasched.ServiceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, name := range []string{"a", "b", "c"} {
-			if err := s.Submit(stepJob(name)); err != nil {
+			if err := svc.Submit(stepJob(name)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var rep *metasched.IterationReport
 		for i := 0; i < 3; i++ {
-			var err error
-			if steps {
-				it, e := s.BeginIteration()
-				if e != nil {
-					t.Fatal(e)
-				}
-				if e := it.Plan(); e != nil {
-					t.Fatal(e)
-				}
-				if e := it.Apply(); e != nil {
-					t.Fatal(e)
-				}
-				rep, err = it.Finish()
+			if viaService {
+				rep, err = svc.Tick()
 			} else {
-				rep, err = s.RunIteration()
+				rep, err = metasched.RunSteps(s)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -100,13 +94,13 @@ func TestStepSequenceMatchesRunIteration(t *testing.T) {
 		s.CanonicalState(&b)
 		return b.String(), rep
 	}
-	mono, monoRep := run(false)
-	step, stepRep := run(true)
-	if mono != step {
-		t.Fatalf("step-driven session diverged from RunIteration:\n--- mono ---\n%s\n--- steps ---\n%s", mono, step)
+	tick, tickRep := run(true)
+	step, stepRep := run(false)
+	if tick != step {
+		t.Fatalf("step-driven session diverged from Service.Tick:\n--- tick ---\n%s\n--- steps ---\n%s", tick, step)
 	}
-	if monoRep.Iteration != stepRep.Iteration || len(monoRep.Placed) != len(stepRep.Placed) {
-		t.Fatalf("reports diverged: mono %+v vs steps %+v", monoRep, stepRep)
+	if tickRep.Iteration != stepRep.Iteration || len(tickRep.Placed) != len(stepRep.Placed) {
+		t.Fatalf("reports diverged: tick %+v vs steps %+v", tickRep, stepRep)
 	}
 }
 
@@ -165,7 +159,7 @@ func TestApplyStaleWindowPostpones(t *testing.T) {
 	}
 	placed := false
 	for i := 0; i < 4 && !placed; i++ {
-		rep, err := s.RunIteration()
+		rep, err := metasched.RunSteps(s)
 		if err != nil {
 			t.Fatal(err)
 		}
